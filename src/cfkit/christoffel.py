@@ -31,7 +31,8 @@ from .multiindex import MonomialBasis, eval_monomials_batch
 # outside the retained eigenspace.
 OFF_RANGE_TOL = 1e-8
 
-_EVAL_CHUNK = 65536
+# Query rows per basis evaluation; bounds the (rows, size) working arrays.
+EVAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,40 @@ def build_evaluator(
     )
 
 
+def row_blocks(n_rows: int):
+    """Consecutive slices of at most ``EVAL_CHUNK`` rows covering ``n_rows``."""
+    for start in range(0, n_rows, EVAL_CHUNK):
+        yield slice(start, min(start + EVAL_CHUNK, n_rows))
+
+
+def inverse_scores_from_values(ev: ChristoffelEvaluator, values) -> np.ndarray:
+    """Inverse scores from basis values: row i of ``values`` is v(x_i).
+
+    This is the scoring kernel behind :func:`eval_cf_inverse_batch`.
+    Callers that score one point set against several evaluators on the
+    same basis evaluate the basis once and pass the values to each.
+    """
+    q = np.empty(values.shape[0])
+    for block in row_blocks(values.shape[0]):
+        V = values[block]
+        C = V @ ev.eigenvectors
+        q[block] = (C * C / ev.eigenvalues).sum(axis=1)
+        if ev.rank < ev.basis.size:
+            R = V - C @ ev.eigenvectors.T
+            resid = np.sqrt((R * R).sum(axis=1))
+            norm = np.sqrt((V * V).sum(axis=1))
+            q[block][resid > OFF_RANGE_TOL * norm] = np.inf
+    return q
+
+
+def cf_from_inverse(q: np.ndarray) -> np.ndarray:
+    """Christoffel function values 1/q, with 0 where q is ``inf``."""
+    out = np.zeros_like(q)
+    finite = np.isfinite(q)
+    out[finite] = 1.0 / q[finite]
+    return out
+
+
 def eval_cf_inverse_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Inverse scores q(x) = v(x)^T M^+ v(x) for each row of ``points``.
 
@@ -146,31 +181,15 @@ def eval_cf_inverse_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("expected a 2-D array of query points")
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        block = slice(start, min(start + _EVAL_CHUNK, pts.shape[0]))
-        out[block] = _inverse_scores(ev, pts[block])
+    for block in row_blocks(pts.shape[0]):
+        values = eval_monomials_batch(ev.basis, pts[block])
+        out[block] = inverse_scores_from_values(ev, values)
     return out
-
-
-def _inverse_scores(ev, pts):
-    V = eval_monomials_batch(ev.basis, pts)
-    C = V @ ev.eigenvectors
-    q = (C * C / ev.eigenvalues).sum(axis=1)
-    if ev.rank < ev.basis.size:
-        R = V - C @ ev.eigenvectors.T
-        resid = np.sqrt((R * R).sum(axis=1))
-        norm = np.sqrt((V * V).sum(axis=1))
-        q[resid > OFF_RANGE_TOL * norm] = np.inf
-    return q
 
 
 def eval_cf_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Christoffel function values for each row of ``points`` (0 off range)."""
-    q = eval_cf_inverse_batch(ev, points)
-    out = np.zeros_like(q)
-    finite = np.isfinite(q)
-    out[finite] = 1.0 / q[finite]
-    return out
+    return cf_from_inverse(eval_cf_inverse_batch(ev, points))
 
 
 def eval_cf(ev: ChristoffelEvaluator, x) -> float:

@@ -25,17 +25,25 @@ from .christoffel import (
     ChristoffelEvaluator,
     ThresholdPolicy,
     build_evaluator,
+    cf_from_inverse,
     eval_cf_batch,
     eval_cf_inverse_batch,
+    inverse_scores_from_values,
+    row_blocks,
 )
 from .datasets import AffineTransform, scale_to_unit_box
 from .moments import (
     LabeledDataset,
     class_split,
-    empirical_moment_matrix,
     joint_moment_matrix,
+    moment_matrix_from_values,
 )
-from .multiindex import enumerate_basis, enumerate_tensor_basis, enumerate_variety_basis
+from .multiindex import (
+    enumerate_basis,
+    enumerate_tensor_basis,
+    enumerate_variety_basis,
+    eval_monomials_batch,
+)
 
 REJECT_LABEL = 0
 
@@ -155,10 +163,12 @@ def fit(
                 f"class {label}: all points identical, evaluator has rank 1",
                 stacklevel=2,
             )
-        matrix = empirical_moment_matrix(measure, basis)
+        values = eval_monomials_batch(basis, measure.points)
+        matrix = moment_matrix_from_values(basis, values, measure.weights, measure.mass)
         ev = build_evaluator(matrix, policy)
         evaluators.append(ev)
-        floors[label - 1] = np.percentile(eval_cf_batch(ev, measure.points), 5.0)
+        own = cf_from_inverse(inverse_scores_from_values(ev, values))
+        floors[label - 1] = np.percentile(own, 5.0)
     return ClassifierModel(
         m=dataset.m,
         degree=degree,
@@ -173,7 +183,11 @@ def fit(
 
 
 def scores_batch(model: ClassifierModel, points) -> np.ndarray:
-    """Per-class Christoffel function values, shape (n_points, m)."""
+    """Per-class Christoffel function values, shape (n_points, m).
+
+    Each query is evaluated in the basis once for all classes, in row
+    chunks of bounded size.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != model.n:
         raise ValueError(
@@ -181,10 +195,13 @@ def scores_batch(model: ClassifierModel, points) -> np.ndarray:
             f"got shape {pts.shape}"
         )
     scaled = model.transform.forward(pts)
-    out = np.empty((pts.shape[0], model.m))
-    for k, ev in enumerate(model.evaluators):
-        out[:, k] = eval_cf_batch(ev, scaled)
-    return out
+    basis = model.evaluators[0].basis
+    q = np.empty((pts.shape[0], model.m))
+    for block in row_blocks(pts.shape[0]):
+        values = eval_monomials_batch(basis, scaled[block])
+        for k, ev in enumerate(model.evaluators):
+            q[block, k] = inverse_scores_from_values(ev, values)
+    return cf_from_inverse(q)
 
 
 def scores(model: ClassifierModel, x) -> np.ndarray:
@@ -217,14 +234,14 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     weights are exactly one and zero there and zero-weight terms are
     skipped, so off-support classes cannot poison the sum.
     """
-    pts = np.asarray(x, dtype=np.float64)[None, :]
-    scaled = model.transform.forward(pts)
+    scaled = model.transform.forward(np.asarray(x, dtype=np.float64)[None, :])
+    values = eval_monomials_batch(model.evaluators[0].basis, scaled)
     weights = model.theta.eval_all(y) ** 2
     acc = 0.0
     for k, ev in enumerate(model.evaluators):
         if weights[k] == 0.0:
             continue
-        q = eval_cf_inverse_batch(ev, scaled)[0]
+        q = inverse_scores_from_values(ev, values)[0]
         if np.isinf(q):
             return 0.0
         acc += weights[k] * q

@@ -224,7 +224,7 @@ def cmd_levelset(args):
 
     print(f"cells {grid.shape[0]}")
     for j in range(model.m):
-        print(f"gamma_{j + 1} {gamma[j]!r}")
+        print(f"gamma_{j + 1} {float(gamma[j])!r}")
         print(f"levelset_{j + 1}_cells {int(member[:, j].sum())}")
     for i in range(model.m):
         for j in range(i + 1, model.m):

@@ -38,14 +38,12 @@ def confusion_matrix(true_labels, predicted, m: int):
     predicted = np.asarray(predicted, dtype=np.int64)
     if np.any(true_labels < 1) or np.any(true_labels > m):
         raise DataError("true labels outside 1..m")
-    confusion = np.zeros((m, m), dtype=np.int64)
-    rejected = np.zeros(m, dtype=np.int64)
-    for truth, pred in zip(true_labels, predicted):
-        if pred == 0:
-            rejected[truth - 1] += 1
-        else:
-            confusion[truth - 1, pred - 1] += 1
-    return confusion, rejected
+    if np.any(predicted < 0) or np.any(predicted > m):
+        raise DataError("predicted labels outside 0..m")
+    cells = np.bincount(
+        (true_labels - 1) * (m + 1) + predicted, minlength=m * (m + 1)
+    ).reshape(m, m + 1)
+    return cells[:, 1:], cells[:, 0]
 
 
 def evaluate_model(
@@ -92,7 +90,7 @@ def render_report(report: MetricsReport, include_runtime: bool = False) -> str:
         f"accuracy {report.accuracy!r}",
     ]
     for j, value in enumerate(report.per_class_accuracy, start=1):
-        lines.append(f"class_{j}_accuracy {value!r}")
+        lines.append(f"class_{j}_accuracy {float(value)!r}")
     for j, row in enumerate(report.confusion, start=1):
         lines.append(f"confusion_{j} " + " ".join(str(int(v)) for v in row))
     if report.rejected_per_class.sum() > 0:

@@ -165,8 +165,14 @@ def empirical_moment_matrix(
             f"basis dimension {basis.n} does not match point dimension {measure.n}"
         )
     values = eval_monomials_batch(basis, measure.points)
-    entries = _assemble_gram(values, measure.weights)
-    return MomentMatrix(basis=basis, entries=entries, mass=measure.mass)
+    return moment_matrix_from_values(basis, values, measure.weights, measure.mass)
+
+
+def moment_matrix_from_values(
+    basis: MonomialBasis, values: np.ndarray, weights: np.ndarray, mass: float
+) -> MomentMatrix:
+    """Moment matrix from the basis values at the atoms (row i is v(x_i))."""
+    return MomentMatrix(basis=basis, entries=_assemble_gram(values, weights), mass=mass)
 
 
 def joint_moment_matrix(
@@ -209,5 +215,4 @@ def joint_moment_matrix(
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
     values = eval_monomials_batch(basis, pairs)
-    entries = _assemble_gram(values, weights)
-    return MomentMatrix(basis=basis, entries=entries, mass=mass)
+    return moment_matrix_from_values(basis, values, weights, mass)

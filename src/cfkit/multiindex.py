@@ -13,12 +13,16 @@ Enumeration is graded lexicographic: entries are sorted by total degree
 first, then by descending lexicographic order of the exponent tuple, so
 x comes before y at equal degree.  The ordering is deterministic and is
 relied upon everywhere a moment matrix is indexed by a basis.
+
+Every basis kind is downward closed and graded, so each monomial other
+than the constant is an earlier monomial times one variable.  Evaluation
+follows that recurrence, one multiply per basis entry and point.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -62,6 +66,11 @@ class MonomialBasis:
     exponents : numpy.ndarray
         Integer array of shape (size, nvars).  For joint kinds the last
         column is the y exponent.
+    parents, variables : numpy.ndarray
+        Derived at construction: for each entry a past the first (the
+        constant), ``a = exponents[parents] + e_variables``, where the
+        variable is the last nonzero coordinate of a.  The parent always
+        precedes its child.
     """
 
     n: int
@@ -69,6 +78,25 @@ class MonomialBasis:
     kind: str
     m: int | None
     exponents: np.ndarray
+    parents: np.ndarray = field(init=False, repr=False)
+    variables: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        expo = self.exponents.tolist()
+        index = {tuple(row): i for i, row in enumerate(expo)}
+        parents = np.zeros(len(expo), dtype=np.intp)
+        variables = np.zeros(len(expo), dtype=np.intp)
+        if any(expo[0]):
+            raise ValueError("basis must start with the constant monomial")
+        for i, row in enumerate(expo[1:], start=1):
+            var = max((k for k, e in enumerate(row) if e), default=0)
+            row[var] -= 1
+            parents[i] = index.get(tuple(row), i)
+            variables[i] = var
+            if parents[i] >= i:
+                raise ValueError("basis is not downward closed in graded order")
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "variables", variables)
 
     @property
     def nvars(self) -> int:
@@ -165,10 +193,11 @@ def eval_monomials(basis: MonomialBasis, x) -> np.ndarray:
 def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
     """Evaluate the monomial vector at each row of ``points``.
 
-    Returns an array of shape (len(points), basis.size).  Uses per-variable
-    power tables so repeated exponents are not recomputed.
+    Returns an array of shape (len(points), basis.size).  Entry a is
+    computed as v_a = v_parent * x_var (see :class:`MonomialBasis`), one
+    pass over the basis per batch of points.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != basis.nvars:
         raise ValueError(
             f"points must be a 2-D array with {basis.nvars} columns, "
@@ -176,12 +205,11 @@ def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
         )
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite coordinates")
-    expo = basis.exponents
-    out = np.ones((pts.shape[0], basis.size), dtype=np.float64)
-    for v in range(basis.nvars):
-        dmax = int(expo[:, v].max())
-        if dmax == 0:
-            continue
-        table = pts[:, v][:, None] ** np.arange(dmax + 1)
-        out *= table[:, expo[:, v]]
-    return out
+    coords = np.ascontiguousarray(pts.T)
+    out = np.empty((basis.size, pts.shape[0]))
+    out[0] = 1.0
+    for i, (parent, var) in enumerate(
+        zip(basis.parents[1:].tolist(), basis.variables[1:].tolist()), start=1
+    ):
+        np.multiply(out[parent], coords[var], out=out[i])
+    return out.T

@@ -7,6 +7,7 @@ from cfkit import (
     DataError,
     LabeledDataset,
     REJECT_LABEL,
+    ShapeSpec,
     ThresholdPolicy,
     build_evaluator,
     class_split,
@@ -16,11 +17,13 @@ from cfkit import (
     empirical_moment_matrix,
     enumerate_basis,
     enumerate_tensor_basis,
+    eval_cf_batch,
     eval_cf_inverse_batch,
     eval_joint,
     eval_joint_inverse,
     eval_monomials_batch,
     fit,
+    gen_shapes,
     joint_cf,
     joint_moment_matrix,
     make_theta,
@@ -30,6 +33,7 @@ from cfkit import (
     tensor_cf,
     variety_cf,
 )
+from cfkit.christoffel import EVAL_CHUNK
 from conftest import random_joint_dataset, separated_points
 
 
@@ -211,6 +215,46 @@ class TestClassify:
             model_mapped, queries @ rot.T * 1.7 + np.array([3.0, -1.0])
         )
         np.testing.assert_array_equal(base, moved)
+
+
+class TestSharedBasisEvaluation:
+    """One basis evaluation per query serves every class's score."""
+
+    SHAPES = [
+        ShapeSpec(kind="disk", label=1, center=(-3.0, 0.0), radius=1.0),
+        ShapeSpec(kind="annulus", label=2, center=(0.0, 0.0), inner=0.5, outer=1.0),
+        ShapeSpec(kind="box", label=3, low=(2.0, -1.0), high=(4.0, 1.0)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def rank_deficient(self):
+        # At t = 5 the disk and box classes lose rank and score 0 almost
+        # everywhere, while the annulus keeps full rank and scores > 0.
+        train = gen_shapes(self.SHAPES, 1500, seed=11)
+        model = fit(train, degree=5)
+        assert any(ev.rank < ev.basis.size for ev in model.evaluators)
+        return train, model
+
+    def test_scores_batch_equals_per_evaluator_path(self, rank_deficient):
+        train, model = rank_deficient
+        queries = gen_shapes(self.SHAPES, (EVAL_CHUNK + 37) // 3 + 1, seed=12).points
+        assert queries.shape[0] > EVAL_CHUNK and queries.shape[0] % EVAL_CHUNK
+        shared = scores_batch(model, queries)
+        scaled = model.transform.forward(queries)
+        separate = np.stack(
+            [eval_cf_batch(ev, scaled) for ev in model.evaluators], axis=1
+        )
+        np.testing.assert_array_equal(shared == 0, separate == 0)
+        assert (shared == 0).any() and (shared > 0).any()
+        np.testing.assert_allclose(shared, separate, rtol=1e-12, atol=0)
+
+    def test_train_score_floor_is_own_percentile(self, rank_deficient):
+        train, model = rank_deficient
+        for j, ev in enumerate(model.evaluators, start=1):
+            own = model.transform.forward(train.class_points(j))
+            expected = np.percentile(eval_cf_batch(ev, own), 5.0)
+            floor = model.train_score_floor[j - 1]
+            np.testing.assert_allclose(floor, expected, rtol=1e-12)
 
 
 class TestJointFormulas:

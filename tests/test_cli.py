@@ -309,6 +309,34 @@ class TestSweep:
         ) == 2
 
 
+def assert_key_number_lines(text):
+    """Every report line is a key followed by space-separated floats."""
+    for line in text.splitlines():
+        key, _, value = line.partition(" ")
+        if key == "wrote":
+            continue
+        assert value, line
+        [float(v) for v in value.split()]
+
+
+def test_report_lines_parse_as_numbers(tmp_path, spec_file, capsys):
+    data = tmp_path / "data.csv"
+    model = tmp_path / "model.cfm"
+    run("synth", spec_file, "--n", 200, "--seed", 7, "--out", data)
+    run("train", data, "--degree", 3, "--out", model)
+    capsys.readouterr()
+    assert run("eval", model, data, "--shapes", spec_file) == 0
+    eval_out = capsys.readouterr().out
+    assert "class_2_accuracy " in eval_out
+    assert_key_number_lines(eval_out)
+    grid = tmp_path / "grid.csv"
+    code = run("levelset", model, "--bounds=-3:3,-1:1", "--grid-res", 8, "--out", grid)
+    assert code == 0
+    levelset_out = capsys.readouterr().out
+    assert "gamma_1 " in levelset_out
+    assert_key_number_lines(levelset_out)
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

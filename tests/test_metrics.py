@@ -37,6 +37,17 @@ class TestConfusionMatrix:
         with pytest.raises(DataError):
             confusion_matrix([1, 4], [1, 1], 3)
 
+    def test_rejected_rows_counted_per_true_class(self):
+        truth, predicted = [1, 1, 2, 3, 3, 3], [0, 2, 2, 0, 0, 3]
+        confusion, rejected = confusion_matrix(truth, predicted, 3)
+        np.testing.assert_array_equal(confusion, [[0, 1, 0], [0, 1, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(rejected, [1, 0, 2])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_predicted_out_of_range(self, bad):
+        with pytest.raises(DataError):
+            confusion_matrix([1, 2], [1, bad], 3)
+
 
 class TestEvaluateModel:
     def test_two_disk_report(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfkit import (
+    MonomialBasis,
     basis_dimension,
     enumerate_basis,
     enumerate_tensor_basis,
@@ -163,6 +164,37 @@ class TestEvalMonomials:
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):
             eval_monomials(basis, [np.nan])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["plain", "variety2", "variety3", "tensor2", "tensor3"]
+    )
+    def test_recurrence_matches_power_products(self, rng, n, kind):
+        m = None if kind == "plain" else int(kind[-1])
+        for t in range(0 if m is None else m - 1, 13):
+            if m is None:
+                basis = enumerate_basis(n, t)
+            elif kind.startswith("variety"):
+                basis = enumerate_variety_basis(n, t, m)
+            else:
+                basis = enumerate_tensor_basis(n, t, m)
+            pts = rng.uniform(-1.5, 1.5, size=(20, basis.nvars))
+            if m is not None:
+                pts[:, -1] = rng.integers(1, m + 1, size=20)
+            pts[0] = 0.0  # origin: only the constant survives, 0^0 = 1
+            pts[1, 0] = 0.0  # one zero coordinate
+            expected = np.stack(
+                [np.prod(pts ** a, axis=1) for a in basis.exponents], axis=1
+            )
+            got = eval_monomials_batch(basis, pts)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(got == 0, expected == 0)
+            assert got[0, 0] == 1.0 and not got[0, 1:].any()
+
+    def test_basis_must_be_downward_closed(self):
+        for rows in ([[0], [2]], [[1], [0]]):  # gap in degree; constant not first
+            with pytest.raises(ValueError):
+                MonomialBasis(n=1, t=2, kind="plain", m=None, exponents=np.array(rows))
 
 
 class _no_warning:
