@@ -146,9 +146,8 @@ def row_blocks(n_rows: int):
 def inverse_scores_from_values(ev: ChristoffelEvaluator, values) -> np.ndarray:
     """Inverse scores from basis values: row i of ``values`` is v(x_i).
 
-    This is the scoring kernel behind :func:`eval_cf_inverse_batch`.
-    Callers that score one point set against several evaluators on the
-    same basis evaluate the basis once and pass the values to each.
+    This is the scoring kernel behind :func:`inverse_scores`, for
+    callers that already hold the basis values of their points.
     """
     q = np.empty(values.shape[0])
     for block in row_blocks(values.shape[0]):
@@ -171,20 +170,33 @@ def cf_from_inverse(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def inverse_scores(evaluators, points) -> np.ndarray:
+    """Inverse scores of each row of ``points`` under each evaluator.
+
+    Returns shape (rows, len(evaluators)).  The evaluators share one
+    basis, which is evaluated once per row chunk; the chunk is then
+    scored against every evaluator.  Points off an evaluator's retained
+    eigenspace get ``inf`` in its column.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError("expected a 2-D array of query points")
+    basis = evaluators[0].basis
+    q = np.empty((pts.shape[0], len(evaluators)))
+    for block in row_blocks(pts.shape[0]):
+        values = eval_monomials_batch(basis, pts[block])
+        for k, ev in enumerate(evaluators):
+            q[block, k] = inverse_scores_from_values(ev, values)
+    return q
+
+
 def eval_cf_inverse_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Inverse scores q(x) = v(x)^T M^+ v(x) for each row of ``points``.
 
     Points off the retained eigenspace get ``inf`` (their Christoffel
     function value is 0).  Values are never negative.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("expected a 2-D array of query points")
-    out = np.empty(pts.shape[0])
-    for block in row_blocks(pts.shape[0]):
-        values = eval_monomials_batch(ev.basis, pts[block])
-        out[block] = inverse_scores_from_values(ev, values)
-    return out
+    return inverse_scores([ev], points)[:, 0]
 
 
 def eval_cf_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:

@@ -16,7 +16,7 @@ pointwise ordering that relates them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -28,8 +28,8 @@ from .christoffel import (
     cf_from_inverse,
     eval_cf_batch,
     eval_cf_inverse_batch,
+    inverse_scores,
     inverse_scores_from_values,
-    row_blocks,
 )
 from .datasets import AffineTransform, scale_to_unit_box
 from .moments import (
@@ -59,7 +59,6 @@ class InterpolationBasis:
     """
 
     m: int
-    coefficients: np.ndarray  # (m, m), row j-1 = monomial coefficients, ascending
 
     def eval_all(self, y: float) -> np.ndarray:
         out = np.empty(self.m)
@@ -74,27 +73,12 @@ class InterpolationBasis:
             out[j - 1] = num / den
         return out
 
-    def eval_from_coefficients(self, y: float) -> np.ndarray:
-        """Evaluate through the monomial coefficient table (for checks)."""
-        powers = np.power(float(y), np.arange(self.m))
-        return self.coefficients @ powers
-
 
 def make_theta(m: int) -> InterpolationBasis:
     """Build the Lagrange interpolation basis on {1..m} (1 <= m <= 12)."""
     if not 1 <= m <= 12:
         raise ValueError("class count m must be between 1 and 12")
-    coeffs = np.zeros((m, m))
-    for j in range(1, m + 1):
-        poly = np.array([1.0])
-        den = 1.0
-        for i in range(1, m + 1):
-            if i == j:
-                continue
-            poly = np.convolve(poly, np.array([-float(i), 1.0]))
-            den *= j - i
-        coeffs[j - 1, : poly.size] = poly / den
-    return InterpolationBasis(m=m, coefficients=coeffs)
+    return InterpolationBasis(m=m)
 
 
 @dataclass
@@ -106,7 +90,6 @@ class ClassifierModel:
     evaluators: list[ChristoffelEvaluator]
     transform: AffineTransform
     policy: ThresholdPolicy
-    theta: InterpolationBasis = field(repr=False)
     class_prior_weights: bool = False
     reject_threshold: float | None = None
     train_score_floor: np.ndarray | None = None
@@ -175,7 +158,6 @@ def fit(
         evaluators=evaluators,
         transform=transform,
         policy=policy,
-        theta=make_theta(dataset.m),
         class_prior_weights=class_prior_weights,
         reject_threshold=reject_threshold,
         train_score_floor=floors,
@@ -195,13 +177,7 @@ def scores_batch(model: ClassifierModel, points) -> np.ndarray:
             f"got shape {pts.shape}"
         )
     scaled = model.transform.forward(pts)
-    basis = model.evaluators[0].basis
-    q = np.empty((pts.shape[0], model.m))
-    for block in row_blocks(pts.shape[0]):
-        values = eval_monomials_batch(basis, scaled[block])
-        for k, ev in enumerate(model.evaluators):
-            q[block, k] = inverse_scores_from_values(ev, values)
-    return cf_from_inverse(q)
+    return cf_from_inverse(inverse_scores(model.evaluators, scaled))
 
 
 def scores(model: ClassifierModel, x) -> np.ndarray:
@@ -209,17 +185,23 @@ def scores(model: ClassifierModel, x) -> np.ndarray:
     return scores_batch(model, np.asarray(x, float)[None, :])[0]
 
 
-def classify_batch(model: ClassifierModel, points) -> np.ndarray:
-    """Argmax labels for each row; smallest index wins ties.
+def predict_batch(model: ClassifierModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax labels and the score matrix for each row of ``points``.
 
-    With a reject threshold configured, rows whose best score falls below
-    it get ``REJECT_LABEL`` (0).
+    The smallest class index wins ties.  With a reject threshold
+    configured, rows whose best score falls below it get
+    ``REJECT_LABEL`` (0).
     """
     sc = scores_batch(model, points)
     labels = np.argmax(sc, axis=1) + 1
     if model.reject_threshold is not None:
         labels[sc.max(axis=1) < model.reject_threshold] = REJECT_LABEL
-    return labels
+    return labels, sc
+
+
+def classify_batch(model: ClassifierModel, points) -> np.ndarray:
+    """The labels of :func:`predict_batch`."""
+    return predict_batch(model, points)[0]
 
 
 def classify(model: ClassifierModel, x) -> int:
@@ -235,16 +217,15 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     skipped, so off-support classes cannot poison the sum.
     """
     scaled = model.transform.forward(np.asarray(x, dtype=np.float64)[None, :])
-    values = eval_monomials_batch(model.evaluators[0].basis, scaled)
-    weights = model.theta.eval_all(y) ** 2
+    q = inverse_scores(model.evaluators, scaled)[0]
+    weights = make_theta(model.m).eval_all(y) ** 2
     acc = 0.0
-    for k, ev in enumerate(model.evaluators):
-        if weights[k] == 0.0:
+    for w, qk in zip(weights, q):
+        if w == 0.0:
             continue
-        q = inverse_scores_from_values(ev, values)[0]
-        if np.isinf(q):
+        if np.isinf(qk):
             return 0.0
-        acc += weights[k] * q
+        acc += w * qk
     return 1.0 / acc
 
 

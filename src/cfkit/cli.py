@@ -139,25 +139,16 @@ def cmd_predict(args):
         raise DataError(
             f"queries have {points.shape[1]} features but the model expects {model.n}"
         )
-    sc = classifier.scores_batch(model, points)
-    predicted = np.argmax(sc, axis=1) + 1
-    if model.reject_threshold is not None:
-        predicted[sc.max(axis=1) < model.reject_threshold] = classifier.REJECT_LABEL
+    predicted, sc = classifier.predict_batch(model, points)
     reported = sc * _score_scale(model, args.normalize)
     header = [f"x{i + 1}" for i in range(model.n)]
+    blocks = [points]
     if labels is not None:
         header.append("label")
+        blocks.append(labels)
     header.append("predicted")
     header += [f"score_{j + 1}" for j in range(model.m)]
-    lines = [",".join(header)]
-    for i in range(points.shape[0]):
-        cells = [repr(float(v)) for v in points[i]]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        cells.append(str(int(predicted[i])))
-        cells += [repr(float(v)) for v in reported[i]]
-        lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    datasets.write_table(args.out, header, *blocks, predicted, reported)
     print(f"wrote {args.out}: {points.shape[0]} predictions")
     return 0
 
@@ -181,10 +172,10 @@ def cmd_eval(args):
     report = metrics.evaluate_model(
         model, data, specs=specs, eps=args.epsilon if specs else None
     )
-    report.runtime_seconds = time.perf_counter() - started
+    runtime = time.perf_counter() - started
     text = metrics.render_report(report)
     sys.stdout.write(text)
-    print(f"runtime_seconds {report.runtime_seconds:.4f}")
+    print(f"runtime_seconds {runtime:.4f}")
     if args.out:
         _write_text(args.out, text)
     return 0
@@ -214,13 +205,7 @@ def cmd_levelset(args):
     header = [f"x{i + 1}" for i in range(model.n)]
     header += [f"lambda_{j + 1}" for j in range(model.m)]
     header += [f"member_{j + 1}" for j in range(model.m)]
-    lines = [",".join(header)]
-    for i in range(grid.shape[0]):
-        cells = [repr(float(v)) for v in grid[i]]
-        cells += [repr(float(v)) for v in reported[i]]
-        cells += [str(int(v)) for v in member[i]]
-        lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    datasets.write_table(args.out, header, grid, reported, member)
 
     print(f"cells {grid.shape[0]}")
     for j in range(model.m):

@@ -8,10 +8,12 @@ from their bounding box, which keeps the distribution exactly uniform.
 CSV schema: a single header row ``x1,...,xn,label`` with the label column
 last, labels being integers >= 1; no comment lines.  Floats are written
 with shortest round-trip precision, so write followed by read is lossless.
+Every numeric CSV table the package writes goes through :func:`write_table`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,25 +109,10 @@ class ShapeSpec:
             lo, hi = self.bounding_box()
             return float(np.prod(hi - lo))
         n = self.dim
-        unit_ball = np.pi ** (n / 2) / _gamma_half_integer(n / 2 + 1)
+        unit_ball = np.pi ** (n / 2) / math.gamma(n / 2 + 1)
         if self.kind == "disk":
             return float(unit_ball * self.radius**n)
         return float(unit_ball * (self.outer**n - self.inner**n))
-
-
-def _gamma_half_integer(z: float) -> float:
-    """Gamma function at integer or half-integer arguments."""
-    if z == int(z):
-        out = 1.0
-        for k in range(2, int(z)):
-            out *= k
-        return out
-    out = np.sqrt(np.pi)
-    k = 0.5
-    while k < z - 0.5:
-        out *= k
-        k += 1.0
-    return out
 
 
 def gen_shapes(
@@ -268,25 +255,53 @@ def train_test_split(
     return train, test
 
 
+# Rows formatted per write; bounds the text held in memory at once.
+_TABLE_CHUNK = 4096
+
+
+def write_table(path, header, *blocks) -> None:
+    """Write a CSV table: the ``header`` row, then the rows of ``blocks`` side by side.
+
+    Each block is a 1-D column or a 2-D array of columns, all with the
+    same number of rows.  Float columns are written as shortest
+    round-trip ``repr``, integer and bool columns as integers; the file
+    is ASCII with ``\n`` line endings.  Rows are formatted and written in
+    chunks of ``_TABLE_CHUNK``.
+    """
+    columns = []
+    for block in blocks:
+        block = np.asarray(block)
+        if block.dtype == bool:
+            block = block.astype(np.int64)
+        columns.append(block[:, None] if block.ndim == 1 else block)
+    n_rows = columns[0].shape[0]
+    if any(c.shape[0] != n_rows for c in columns):
+        raise ValueError("table blocks must have the same number of rows")
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _TABLE_CHUNK):
+            cells = [
+                list(map(repr, column))
+                for c in columns
+                for column in c[start : start + _TABLE_CHUNK].T.tolist()
+            ]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def write_csv(dataset: LabeledDataset, path) -> None:
     """Write ``x1,...,xn,label`` rows with lossless float formatting."""
-    lines = [",".join([f"x{i + 1}" for i in range(dataset.n)] + ["label"])]
-    for row, label in zip(dataset.points, dataset.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    header = [f"x{i + 1}" for i in range(dataset.n)] + ["label"]
+    write_table(path, header, dataset.points, dataset.labels)
 
 
 def read_csv(path) -> LabeledDataset:
     """Read a labeled dataset, reporting the line number of any bad cell."""
-    points, labels, _ = _read_rows(path, require_label=True)
-    return LabeledDataset(points, labels)
+    return LabeledDataset(*_read_rows(path, require_label=True))
 
 
 def read_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read query points; the label column is optional and passed through."""
-    points, labels, _ = _read_rows(path, require_label=False)
-    return points, labels
+    return _read_rows(path, require_label=False)
 
 
 def _read_rows(path, require_label):
@@ -324,6 +339,8 @@ def _read_rows(path, require_label):
                 raise DataError(
                     f"{path}: line {lineno}: non-numeric label"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {lineno}: non-finite label")
             if value != int(value):
                 raise DataError(f"{path}: line {lineno}: non-integer label")
             if value < 1:
@@ -334,4 +351,4 @@ def _read_rows(path, require_label):
         raise DataError(f"{path}: no data rows")
     points = np.asarray(rows, dtype=np.float64)
     label_arr = np.asarray(labels, dtype=np.int64) if has_label else None
-    return points, label_arr, header
+    return points, label_arr

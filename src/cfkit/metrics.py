@@ -29,7 +29,6 @@ class MetricsReport:
     rejected_per_class: np.ndarray
     n_eps_interior: int | None = None
     eps_interior_accuracy: float | None = None
-    runtime_seconds: float | None = None
 
 
 def confusion_matrix(true_labels, predicted, m: int):
@@ -83,7 +82,7 @@ def evaluate_model(
     return report
 
 
-def render_report(report: MetricsReport, include_runtime: bool = False) -> str:
+def render_report(report: MetricsReport) -> str:
     """Render the report as a key-value text document."""
     lines = [
         f"n_test {report.n_total}",
@@ -100,6 +99,4 @@ def render_report(report: MetricsReport, include_runtime: bool = False) -> str:
         lines.append(f"eps_interior_n {report.n_eps_interior}")
         if report.eps_interior_accuracy is not None:
             lines.append(f"eps_interior_accuracy {report.eps_interior_accuracy!r}")
-    if include_runtime and report.runtime_seconds is not None:
-        lines.append(f"runtime_seconds {report.runtime_seconds:.4f}")
     return "\n".join(lines) + "\n"

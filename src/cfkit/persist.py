@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .christoffel import ChristoffelEvaluator, ThresholdPolicy
-from .classifier import ClassifierModel, make_theta
+from .classifier import ClassifierModel
 from .datasets import AffineTransform
 from .errors import DataError
 from .multiindex import enumerate_basis
@@ -74,17 +74,15 @@ def save_model(model: ClassifierModel, path, metadata: dict | None = None) -> No
 def load_model(path) -> ClassifierModel:
     """Reconstruct a model saved by :func:`save_model`."""
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not a cfkit model file")
-        (header_len,) = struct.unpack("<Q", handle.read(8))
-        header = json.loads(handle.read(header_len).decode())
+        header = _read_header(handle, path)
         payload = handle.read()
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 8 * count > len(payload):
+            raise DataError(f"{path}: truncated model file")
         data = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         arrays[entry["name"]] = data.reshape(shape).copy()
     policy = ThresholdPolicy(
@@ -112,7 +110,6 @@ def load_model(path) -> ClassifierModel:
         evaluators=evaluators,
         transform=transform,
         policy=policy,
-        theta=make_theta(header["m"]),
         class_prior_weights=header["class_prior_weights"],
         reject_threshold=header["reject_threshold"],
         train_score_floor=arrays["train_score_floor"],
@@ -122,11 +119,18 @@ def load_model(path) -> ClassifierModel:
 def load_metadata(path) -> dict:
     """Read only the JSON header of a model file."""
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not a cfkit model file")
+        return _read_header(handle, path)
+
+
+def _read_header(handle, path) -> dict:
+    """Read the magic line, the header length and the JSON header."""
+    if handle.read(len(_MAGIC)) != _MAGIC:
+        raise DataError(f"{path}: not a cfkit model file")
+    try:
         (header_len,) = struct.unpack("<Q", handle.read(8))
         return json.loads(handle.read(header_len).decode())
+    except (struct.error, ValueError):
+        raise DataError(f"{path}: truncated model file") from None
 
 
 def file_sha256(path) -> str:

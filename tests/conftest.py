@@ -38,6 +38,27 @@ def separated_points(rng, count, n, min_gap, low=-1.0, high=1.0):
             return pts
 
 
+# Lengths a model file is cut to: inside the 8-byte header length (which
+# follows the 14-byte magic line), inside the JSON header, inside the
+# array payload.
+MODEL_CUTS = {"length": 18, "header": 40, "payload": -4}
+
+
+def reference_table(header, *blocks):
+    """CSV bytes formatted cell by cell: floats as ``repr``, the rest as ints."""
+    blocks = [np.asarray(b).reshape(len(b), -1) for b in blocks]
+    lines = [",".join(header)]
+    for i in range(len(blocks[0])):
+        cells = []
+        for block in blocks:
+            if block.dtype.kind == "f":
+                cells += [repr(float(v)) for v in block[i]]
+            else:
+                cells += [str(int(v)) for v in block[i]]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

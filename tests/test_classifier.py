@@ -65,10 +65,6 @@ class TestInterpolationBasis:
                 expected[i - 1] = 1.0
                 # exact by the product form
                 np.testing.assert_array_equal(theta.eval_all(float(i)), expected)
-                # within tolerance through the coefficient table
-                np.testing.assert_allclose(
-                    theta.eval_from_coefficients(float(i)), expected, atol=1e-10
-                )
 
     def test_partition_of_unity(self):
         for m in (2, 3, 5, 8):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cfkit import cli, load_metadata, read_csv
+from cfkit import cli, load_metadata, load_model, read_csv, scores_batch
 from cfkit.errors import NumericalError
+from conftest import MODEL_CUTS, reference_table
 
 TWO_DISK_SPEC = """\
 # two well separated disks
@@ -93,6 +94,13 @@ class TestTrain:
     def test_unreadable_csv(self, tmp_path):
         assert run("train", tmp_path / "missing.csv", "--out", tmp_path / "m.cfm") == 3
 
+    @pytest.mark.parametrize("label", ["inf", "nan"])
+    def test_non_finite_label(self, tmp_path, capsys, label):
+        data = tmp_path / "data.csv"
+        data.write_text(f"x1,label\n0.5,1\n0.25,{label}\n")
+        assert run("train", data, "--out", tmp_path / "m.cfm") == 3
+        assert f"{data}: line 3: non-finite label" in capsys.readouterr().err
+
     def test_bad_policy_flag(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"
         run("synth", spec_file, "--n", 50, "--seed", 0, "--out", data)
@@ -140,6 +148,38 @@ class TestPredict:
         queries = tmp_path / "wide.csv"
         queries.write_text("x1,x2\n0.0,1.0\n")
         assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+
+    @pytest.mark.parametrize("cut", MODEL_CUTS.values(), ids=MODEL_CUTS.keys())
+    def test_truncated_model(self, tmp_path, hand_model, capsys, cut):
+        hand_model.write_bytes(hand_model.read_bytes()[:cut])
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{hand_model}: truncated model file" in capsys.readouterr().err
+
+    def test_output_matches_per_cell_reference(self, tmp_path, spec_file):
+        data = tmp_path / "data.csv"
+        run("synth", spec_file, "--n", 2100, "--seed", 4, "--out", data)
+        model = tmp_path / "model.cfm"
+        run("train", data, "--degree", 3, "--reject-gamma", 0.05, "--out", model)
+        labeled = read_csv(data)
+        sc = scores_batch(load_model(model), labeled.points)
+        predicted = np.argmax(sc, axis=1) + 1
+        predicted[sc.max(axis=1) < 0.05] = 0
+        assert 0 < np.count_nonzero(predicted == 0) < predicted.size
+        queries = tmp_path / "queries.csv"
+        queries.write_text(
+            "".join(line.rsplit(",", 1)[0] + "\n" for line in data.read_text().splitlines())
+        )
+        scores_header = ["predicted", "score_1", "score_2"]
+        for source, header, blocks in (
+            (data, ["x1", "x2", "label"], [labeled.points, labeled.labels]),
+            (queries, ["x1", "x2"], [labeled.points]),
+        ):
+            out = tmp_path / "pred.csv"
+            assert run("predict", model, source, "--out", out) == 0
+            expected = reference_table(header + scores_header, *blocks, predicted, sc)
+            assert out.read_bytes() == expected
 
     def test_training_points_score_positive(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"

@@ -1,5 +1,7 @@
 """Shape sampling, interior filtering, scaling, CSV round trips, splits."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -18,6 +20,8 @@ from cfkit import (
     train_test_split,
     write_csv,
 )
+from cfkit.datasets import write_table
+from conftest import reference_table
 
 DISK = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1.0)
 TWO_DISKS = [
@@ -243,6 +247,14 @@ class TestCsv:
         with pytest.raises(DataError, match="non-integer label"):
             read_csv(path)
 
+    @pytest.mark.parametrize("label", ["inf", "nan", "-inf"])
+    def test_non_finite_label_reports_line(self, tmp_path, label):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"x1,label\n0.5,1\n0.25,{label}\n")
+        message = re.escape(f"{path}: line 3: non-finite label")
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+
     def test_points_csv_without_label(self, tmp_path):
         path = tmp_path / "queries.csv"
         path.write_text("x1,x2\n0.5,1.0\n")
@@ -255,6 +267,24 @@ class TestCsv:
         path.write_text("x1,x2\n0.5,1.0\n")
         with pytest.raises(DataError, match="label"):
             read_csv(path)
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("rows", [1, 4096, 8193])
+    def test_matches_per_cell_reference(self, tmp_path, rng, rows):
+        special = np.array([-0.0, 5e-324, 1e300, 0.1])
+        floats = np.column_stack([np.resize(special, rows), rng.normal(size=rows)])
+        ints = rng.integers(-5, 10**12, size=(rows, 2))
+        labels = rng.integers(1, 4, size=rows)
+        flags = rng.random((rows, 2)) < 0.5
+        header = ["x1", "x2", "i1", "i2", "label", "b1", "b2"]
+        path = tmp_path / "table.csv"
+        write_table(path, header, floats, ints, labels, flags)
+        assert path.read_bytes() == reference_table(header, floats, ints, labels, flags)
+
+    def test_blocks_must_align(self, tmp_path):
+        with pytest.raises(ValueError, match="same number of rows"):
+            write_table(tmp_path / "t.csv", ["a", "b"], np.zeros(3), np.zeros(2))
 
 
 class TestTrainTestSplit:

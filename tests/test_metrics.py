@@ -70,8 +70,6 @@ class TestEvaluateModel:
         assert "accuracy " in text
         assert "confusion_1 " in text and "confusion_2 " in text
         assert "runtime" not in text
-        report.runtime_seconds = 0.5
-        assert "runtime_seconds" in render_report(report, include_runtime=True)
 
     def test_too_many_test_labels(self):
         train = gen_shapes(TWO_DISKS, 50, seed=3)

@@ -1,5 +1,7 @@
 """Model container round trips and byte-level determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cfkit import (
     save_model,
     scores_batch,
 )
-from conftest import random_joint_dataset
+from conftest import MODEL_CUTS, random_joint_dataset
 
 
 def fitted_model(rng):
@@ -85,3 +87,17 @@ class TestErrors:
         path.write_bytes(b"not a model")
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize("cut", MODEL_CUTS.values(), ids=MODEL_CUTS.keys())
+    def test_truncated_file(self, rng, tmp_path, cut):
+        path = tmp_path / "model.cfm"
+        save_model(fitted_model(rng), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        message = re.escape(f"{path}: truncated model file")
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+        if cut == MODEL_CUTS["payload"]:
+            assert load_metadata(path)["format"] == 1  # the header is whole
+        else:
+            with pytest.raises(DataError, match=message):
+                load_metadata(path)
