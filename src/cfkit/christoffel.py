@@ -15,6 +15,13 @@ keeps the eigenpairs above a threshold; query points whose monomial vector
 leaves the retained eigenspace get L = 0, exactly as the variational form
 dictates (some polynomial vanishing on the sample is nonzero at x, so the
 infimum is 0).  The inverse score q = 1/L is reported as ``inf`` there.
+
+Scoring is one matrix product per chunk of query rows.  The evaluator
+holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
+inverse square roots of their eigenvalues, then an orthonormal basis D of
+the complement of their span, derived from E alone.  With Y = V W, the
+row sums of the first ``rank`` squared columns are q, and the remaining
+columns hold the projection of v(x) off the retained eigenspace.
 """
 
 from __future__ import annotations
@@ -80,6 +87,13 @@ class ChristoffelEvaluator:
     eigenvectors : numpy.ndarray
         Matching orthonormal eigenvectors as columns, shape (size, rank).
     rank : int
+    scoring : numpy.ndarray
+        Read-only scoring matrix, shape (size, size).  Column k < rank is
+        eigenvector k divided by sqrt(eigenvalue k); columns from ``rank``
+        on are an orthonormal basis of the complement of the retained
+        eigenspace (none at full rank).  It is derived from the two
+        arrays above alone, so an evaluator rebuilt from them scores
+        bit for bit the same.
     threshold : float
         Cutoff applied to the spectrum (0.0 in Tikhonov mode).
     mass : float
@@ -94,6 +108,12 @@ class ChristoffelEvaluator:
         self.threshold = float(threshold)
         self.mass = float(mass)
         self.policy = policy
+        scoring = eigenvectors / np.sqrt(eigenvalues)
+        if self.rank < basis.size:
+            complete = np.linalg.qr(eigenvectors, mode="complete")[0]
+            scoring = np.hstack([scoring, complete[:, self.rank :]])
+        scoring.flags.writeable = False
+        self.scoring = scoring
 
     @property
     def rank(self) -> int:
@@ -147,18 +167,23 @@ def inverse_scores_from_values(ev: ChristoffelEvaluator, values) -> np.ndarray:
     """Inverse scores from basis values: row i of ``values`` is v(x_i).
 
     This is the scoring kernel behind :func:`inverse_scores`, for
-    callers that already hold the basis values of their points.
+    callers that already hold the basis values of their points.  A row
+    is off range, and scores ``inf``, when the norm of its projection
+    onto the discarded directions exceeds ``OFF_RANGE_TOL`` times the
+    norm of v(x).
     """
+    rank = ev.rank
     q = np.empty(values.shape[0])
     for block in row_blocks(values.shape[0]):
         V = values[block]
-        C = V @ ev.eigenvectors
-        q[block] = (C * C / ev.eigenvalues).sum(axis=1)
-        if ev.rank < ev.basis.size:
-            R = V - C @ ev.eigenvectors.T
-            resid = np.sqrt((R * R).sum(axis=1))
-            norm = np.sqrt((V * V).sum(axis=1))
-            q[block][resid > OFF_RANGE_TOL * norm] = np.inf
+        Y = V @ ev.scoring
+        kept, off = Y[:, :rank], Y[:, rank:]
+        q[block] = np.einsum("ij,ij->i", kept, kept)
+        if rank < ev.basis.size:
+            # Squared norms on both sides: no square root per row.
+            resid = np.einsum("ij,ij->i", off, off)
+            norm = np.einsum("ij,ij->i", V, V)
+            q[block][resid > OFF_RANGE_TOL**2 * norm] = np.inf
     return q
 
 
@@ -271,6 +296,7 @@ def orthonormal_polynomials(ev: ChristoffelEvaluator) -> np.ndarray:
     Row k holds the coefficients (in the evaluator's basis) of
     P_k = eigenvector_k / sqrt(eigenvalue_k).  The Gram matrix of these
     polynomials under the original measure is the rank x rank identity,
-    and sum_k P_k(x)^2 equals the inverse score for on-range x.
+    and sum_k P_k(x)^2 equals the inverse score for on-range x.  The
+    rows are a read-only view of the evaluator's scoring matrix.
     """
-    return (ev.eigenvectors / np.sqrt(ev.eigenvalues)).T
+    return ev.scoring[:, : ev.rank].T

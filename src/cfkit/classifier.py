@@ -152,6 +152,9 @@ def fit(
         evaluators.append(ev)
         own = cf_from_inverse(inverse_scores_from_values(ev, values))
         floors[label - 1] = np.percentile(own, 5.0)
+        # Free this class's basis values before the next class's are
+        # built, so at most one (points, size) array is alive.
+        del values
     return ClassifierModel(
         m=dataset.m,
         degree=degree,

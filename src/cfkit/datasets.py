@@ -350,5 +350,11 @@ def _read_rows(path, require_label):
     if not rows:
         raise DataError(f"{path}: no data rows")
     points = np.asarray(rows, dtype=np.float64)
+    # min and max propagate nan and reach inf without a temporary array.
+    if not (np.isfinite(points.min()) and np.isfinite(points.max())):
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
+        # Row i came from the i-th non-blank data line.
+        data_lines = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise DataError(f"{path}: line {data_lines[bad]}: non-finite coordinate")
     label_arr = np.asarray(labels, dtype=np.int64) if has_label else None
     return points, label_arr

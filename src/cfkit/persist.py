@@ -76,6 +76,20 @@ def load_model(path) -> ClassifierModel:
     with open(path, "rb") as handle:
         header = _read_header(handle, path)
         payload = handle.read()
+    try:
+        return _model_from(header, payload, path)
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{path}: malformed model header") from None
+
+
+def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
+    """The model a header describes; a missing key or ill-typed value raises
+    KeyError, TypeError or ValueError."""
+    n, m, degree = header["n"], header["m"], header["degree"]
+    if not all(type(v) is int and v > 0 for v in (n, m, degree)):
+        raise TypeError("n, m and degree must be positive integers")
+    if len(header["classes"]) != m:
+        raise ValueError("one class entry per class")
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
@@ -88,14 +102,19 @@ def load_model(path) -> ClassifierModel:
     policy = ThresholdPolicy(
         mode=header["policy"]["mode"], value=header["policy"]["value"]
     )
-    basis = enumerate_basis(header["n"], header["degree"])
+    basis = enumerate_basis(n, degree)
     evaluators = []
     for k, info in enumerate(header["classes"], start=1):
+        eigenvalues = arrays[f"eigenvalues_{k}"]
+        eigenvectors = arrays[f"eigenvectors_{k}"]
+        expected = (basis.size, eigenvalues.size)
+        if eigenvalues.ndim != 1 or eigenvectors.shape != expected:
+            raise ValueError("eigenvector shape does not match the basis")
         evaluators.append(
             ChristoffelEvaluator(
                 basis=basis,
-                eigenvalues=arrays[f"eigenvalues_{k}"],
-                eigenvectors=arrays[f"eigenvectors_{k}"],
+                eigenvalues=eigenvalues,
+                eigenvectors=eigenvectors,
                 threshold=info["threshold"],
                 mass=info["mass"],
                 policy=policy,
@@ -104,15 +123,21 @@ def load_model(path) -> ClassifierModel:
     transform = AffineTransform(
         center=arrays["transform_center"], scale=arrays["transform_scale"]
     )
+    floor = arrays["train_score_floor"]
+    if transform.center.shape != (n,) or transform.scale.shape != (n,):
+        raise ValueError("transform shape does not match n")
+    if floor.shape != (m,):
+        raise ValueError("score floor shape does not match m")
+    reject = header["reject_threshold"]
     return ClassifierModel(
-        m=header["m"],
-        degree=header["degree"],
+        m=m,
+        degree=degree,
         evaluators=evaluators,
         transform=transform,
         policy=policy,
         class_prior_weights=header["class_prior_weights"],
-        reject_threshold=header["reject_threshold"],
-        train_score_floor=arrays["train_score_floor"],
+        reject_threshold=None if reject is None else float(reject),
+        train_score_floor=floor,
     )
 
 
@@ -128,9 +153,12 @@ def _read_header(handle, path) -> dict:
         raise DataError(f"{path}: not a cfkit model file")
     try:
         (header_len,) = struct.unpack("<Q", handle.read(8))
-        return json.loads(handle.read(header_len).decode())
+        header = json.loads(handle.read(header_len).decode())
     except (struct.error, ValueError):
         raise DataError(f"{path}: truncated model file") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: malformed model header")
+    return header
 
 
 def file_sha256(path) -> str:

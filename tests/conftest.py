@@ -1,9 +1,19 @@
 """Shared helpers for building random measures and datasets."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from cfkit import EmpiricalMeasure, LabeledDataset
+from cfkit import EmpiricalMeasure, LabeledDataset, ShapeSpec, fit, gen_shapes
+from cfkit.christoffel import EVAL_CHUNK
+
+THREE_SHAPES = [
+    ShapeSpec(kind="disk", label=1, center=(-3.0, 0.0), radius=1.0),
+    ShapeSpec(kind="annulus", label=2, center=(0.0, 0.0), inner=0.5, outer=1.0),
+    ShapeSpec(kind="box", label=3, low=(2.0, -1.0), high=(4.0, 1.0)),
+]
 
 
 def random_measure(rng, n, n_points):
@@ -44,6 +54,40 @@ def separated_points(rng, count, n, min_gap, low=-1.0, high=1.0):
 MODEL_CUTS = {"length": 18, "header": 40, "payload": -4}
 
 
+# Header edits that leave a model file well framed but its header
+# missing keys or holding ill-typed or inconsistent values.
+MALFORMED_HEADERS = {
+    "format-only": lambda h: {"format": 1},
+    "not-an-object": lambda h: [h],
+    "no-arrays": lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    "arrays-number": lambda h: {**h, "arrays": 5},
+    "n-text": lambda h: {**h, "n": "two"},
+    "degree-zero": lambda h: {**h, "degree": 0},
+    "policy-null": lambda h: {**h, "policy": None},
+    "class-missing": lambda h: {**h, "classes": h["classes"][:-1]},
+    "reject-text": lambda h: {**h, "reject_threshold": "high"},
+    "eigenvectors-flat": lambda h: {
+        **h,
+        "arrays": [
+            {**a, "shape": [a["shape"][0] * a["shape"][1]]}
+            if a["name"] == "eigenvectors_1" else a
+            for a in h["arrays"]
+        ],
+    },
+}
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of the model file at ``path`` by ``edit(header)``."""
+    raw = path.read_bytes()
+    start = len(b"CFKIT-MODEL 1\n") + 8
+    (length,) = struct.unpack("<Q", raw[start - 8 : start])
+    header = json.dumps(edit(json.loads(raw[start : start + length]))).encode()
+    path.write_bytes(
+        raw[: start - 8] + struct.pack("<Q", len(header)) + header + raw[start + length :]
+    )
+
+
 def reference_table(header, *blocks):
     """CSV bytes formatted cell by cell: floats as ``repr``, the rest as ints."""
     blocks = [np.asarray(b).reshape(len(b), -1) for b in blocks]
@@ -57,6 +101,26 @@ def reference_table(header, *blocks):
                 cells += [str(int(v)) for v in block[i]]
         lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def chunk_crossing_queries():
+    """Points of the three shapes: one full scoring chunk plus a partial one."""
+    queries = gen_shapes(THREE_SHAPES, (EVAL_CHUNK + 37) // 3 + 1, seed=12).points
+    assert queries.shape[0] > EVAL_CHUNK and queries.shape[0] % EVAL_CHUNK
+    return queries
+
+
+@pytest.fixture(scope="session")
+def rank_deficient():
+    """Training data and a t = 5 model of the three shapes.
+
+    At t = 5 the disk and box classes lose rank and score 0 almost
+    everywhere, while the annulus keeps full rank and scores > 0.
+    """
+    train = gen_shapes(THREE_SHAPES, 1500, seed=11)
+    model = fit(train, degree=5)
+    assert any(ev.rank < ev.basis.size for ev in model.evaluators)
+    return train, model
 
 
 @pytest.fixture

@@ -19,7 +19,8 @@ from cfkit import (
     uniform_measure,
     variational_eval,
 )
-from conftest import random_measure
+from cfkit.christoffel import OFF_RANGE_TOL, inverse_scores_from_values
+from conftest import chunk_crossing_queries, random_measure
 
 
 def three_point_evaluator():
@@ -129,6 +130,53 @@ class TestEvalCf:
         _, ev = three_point_evaluator()
         with pytest.raises(ValueError):
             eval_cf(ev, [0.0, 1.0])
+
+
+def two_product_inverse_scores(ev, values):
+    """Reference kernel: q = sum C^2 / lambda with C = V E, and a row is off
+    range when |V - C E^T| > OFF_RANGE_TOL * |V|."""
+    C = values @ ev.eigenvectors
+    q = (C * C / ev.eigenvalues).sum(axis=1)
+    if ev.rank < ev.basis.size:
+        R = values - C @ ev.eigenvectors.T
+        resid = np.sqrt((R * R).sum(axis=1))
+        norm = np.sqrt((values * values).sum(axis=1))
+        q[resid > OFF_RANGE_TOL * norm] = np.inf
+    return q
+
+
+class TestScoringKernel:
+    """One product V W per chunk, W = [E / sqrt(lambda) | D]."""
+
+    def test_matches_two_product_reference(self, rank_deficient):
+        _, model = rank_deficient
+        scaled = model.transform.forward(chunk_crossing_queries())
+        values = eval_monomials_batch(model.evaluators[0].basis, scaled)
+        off_range = on_range = 0
+        for ev in model.evaluators:
+            got = inverse_scores_from_values(ev, values)
+            expected = two_product_inverse_scores(ev, values)
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(expected))
+            finite = np.isfinite(expected)
+            np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-11)
+            off_range += int((~finite).sum())
+            on_range += int(finite.sum())
+        assert off_range and on_range
+
+    def test_complement_is_orthonormal(self, rank_deficient):
+        _, model = rank_deficient
+        ranks = set()
+        for ev in model.evaluators:
+            size, rank = ev.basis.size, ev.rank
+            assert ev.scoring.shape == (size, size)
+            assert not ev.scoring.flags.writeable
+            np.testing.assert_array_equal(
+                ev.scoring[:, :rank], ev.eigenvectors / np.sqrt(ev.eigenvalues)
+            )
+            frame = np.hstack([ev.eigenvectors, ev.scoring[:, rank:]])
+            np.testing.assert_allclose(frame.T @ frame, np.eye(size), atol=1e-12)
+            ranks.add(rank == size)
+        assert ranks == {True, False}  # a full-rank evaluator has no D columns
 
 
 class TestVariationalEval:

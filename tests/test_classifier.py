@@ -7,7 +7,6 @@ from cfkit import (
     DataError,
     LabeledDataset,
     REJECT_LABEL,
-    ShapeSpec,
     ThresholdPolicy,
     build_evaluator,
     class_split,
@@ -23,7 +22,6 @@ from cfkit import (
     eval_joint_inverse,
     eval_monomials_batch,
     fit,
-    gen_shapes,
     joint_cf,
     joint_moment_matrix,
     make_theta,
@@ -33,8 +31,7 @@ from cfkit import (
     tensor_cf,
     variety_cf,
 )
-from cfkit.christoffel import EVAL_CHUNK
-from conftest import random_joint_dataset, separated_points
+from conftest import chunk_crossing_queries, random_joint_dataset, separated_points
 
 
 def hand_dataset():
@@ -216,25 +213,9 @@ class TestClassify:
 class TestSharedBasisEvaluation:
     """One basis evaluation per query serves every class's score."""
 
-    SHAPES = [
-        ShapeSpec(kind="disk", label=1, center=(-3.0, 0.0), radius=1.0),
-        ShapeSpec(kind="annulus", label=2, center=(0.0, 0.0), inner=0.5, outer=1.0),
-        ShapeSpec(kind="box", label=3, low=(2.0, -1.0), high=(4.0, 1.0)),
-    ]
-
-    @pytest.fixture(scope="class")
-    def rank_deficient(self):
-        # At t = 5 the disk and box classes lose rank and score 0 almost
-        # everywhere, while the annulus keeps full rank and scores > 0.
-        train = gen_shapes(self.SHAPES, 1500, seed=11)
-        model = fit(train, degree=5)
-        assert any(ev.rank < ev.basis.size for ev in model.evaluators)
-        return train, model
-
     def test_scores_batch_equals_per_evaluator_path(self, rank_deficient):
         train, model = rank_deficient
-        queries = gen_shapes(self.SHAPES, (EVAL_CHUNK + 37) // 3 + 1, seed=12).points
-        assert queries.shape[0] > EVAL_CHUNK and queries.shape[0] % EVAL_CHUNK
+        queries = chunk_crossing_queries()
         shared = scores_batch(model, queries)
         scaled = model.transform.forward(queries)
         separate = np.stack(

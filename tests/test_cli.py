@@ -5,7 +5,7 @@ import pytest
 
 from cfkit import cli, load_metadata, load_model, read_csv, scores_batch
 from cfkit.errors import NumericalError
-from conftest import MODEL_CUTS, reference_table
+from conftest import MALFORMED_HEADERS, MODEL_CUTS, reference_table, rewrite_header
 
 TWO_DISK_SPEC = """\
 # two well separated disks
@@ -101,6 +101,12 @@ class TestTrain:
         assert run("train", data, "--out", tmp_path / "m.cfm") == 3
         assert f"{data}: line 3: non-finite label" in capsys.readouterr().err
 
+    def test_non_finite_coordinate(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.5,1\ninf,2\n")
+        assert run("train", data, "--out", tmp_path / "m.cfm") == 3
+        assert f"{data}: line 3: non-finite coordinate" in capsys.readouterr().err
+
     def test_bad_policy_flag(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"
         run("synth", spec_file, "--n", 50, "--seed", 0, "--out", data)
@@ -156,6 +162,20 @@ class TestPredict:
         queries.write_text("x1\n0.0\n")
         assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
         assert f"{hand_model}: truncated model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["format-only", "n-text"])
+    def test_malformed_model_header(self, tmp_path, hand_model, capsys, edit):
+        rewrite_header(hand_model, MALFORMED_HEADERS[edit])
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{hand_model}: malformed model header" in capsys.readouterr().err
+
+    def test_non_finite_query(self, tmp_path, hand_model, capsys):
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n-inf\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{queries}: line 3: non-finite coordinate" in capsys.readouterr().err
 
     def test_output_matches_per_cell_reference(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"

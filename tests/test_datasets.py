@@ -255,6 +255,16 @@ class TestCsv:
         with pytest.raises(DataError, match=message):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("reader", [read_csv, read_points_csv])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, reader, cell):
+        path = tmp_path / "nonfinite.csv"
+        # the blank line 3 is skipped but still counted
+        path.write_text(f"x1,x2,label\n0.5,0.5,1\n\n0.25,{cell},2\n")
+        message = re.escape(f"{path}: line 4: non-finite coordinate")
+        with pytest.raises(DataError, match=message):
+            reader(path)
+
     def test_points_csv_without_label(self, tmp_path):
         path = tmp_path / "queries.csv"
         path.write_text("x1,x2\n0.5,1.0\n")

@@ -14,7 +14,13 @@ from cfkit import (
     save_model,
     scores_batch,
 )
-from conftest import MODEL_CUTS, random_joint_dataset
+from conftest import (
+    MALFORMED_HEADERS,
+    MODEL_CUTS,
+    chunk_crossing_queries,
+    random_joint_dataset,
+    rewrite_header,
+)
 
 
 def fitted_model(rng):
@@ -32,6 +38,17 @@ class TestRoundTrip:
         before = scores_batch(model, queries)
         after = scores_batch(loaded, queries)
         np.testing.assert_array_equal(before, after)
+
+    def test_rank_deficient_scores_bit_identical(self, rank_deficient, tmp_path):
+        _, model = rank_deficient
+        assert model.degree >= 5
+        path = tmp_path / "model.cfm"
+        save_model(model, path)
+        loaded = load_model(path)
+        queries = chunk_crossing_queries()
+        before = scores_batch(model, queries)
+        assert (before == 0).any() and (before > 0).any()
+        np.testing.assert_array_equal(before, scores_batch(loaded, queries))
 
     def test_fields_preserved(self, rng, tmp_path):
         data = random_joint_dataset(rng, 1, 2, [12, 12])
@@ -101,3 +118,14 @@ class TestErrors:
         else:
             with pytest.raises(DataError, match=message):
                 load_metadata(path)
+
+    @pytest.mark.parametrize(
+        "edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys()
+    )
+    def test_malformed_header(self, rng, tmp_path, edit):
+        path = tmp_path / "model.cfm"
+        save_model(fitted_model(rng), path)
+        rewrite_header(path, edit)
+        message = re.escape(f"{path}: malformed model header")
+        with pytest.raises(DataError, match=message):
+            load_model(path)
