@@ -33,8 +33,7 @@ class UsageError(Exception):
 def read_shape_specs(path) -> list[datasets.ShapeSpec]:
     """Parse a shape spec file, reporting the line of any malformed entry."""
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            lines = handle.read().splitlines()
+        lines = datasets.read_ascii_lines(path)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from None
     specs = []
@@ -181,6 +180,10 @@ def cmd_eval(args):
     return 0
 
 
+# The largest 2-D grid, 2000 x 2000 cells, bounds the grid in any dimension.
+_MAX_GRID_CELLS = 2000**2
+
+
 def cmd_levelset(args):
     model = persist.load_model(args.model)
     if model.n > 3:
@@ -188,6 +191,11 @@ def cmd_levelset(args):
     bounds = _parse_bounds(args.bounds, model.n)
     if not 2 <= args.grid_res <= 2000:
         raise UsageError("--grid-res must be between 2 and 2000")
+    if args.grid_res**model.n > _MAX_GRID_CELLS:
+        raise UsageError(
+            f"--grid-res {args.grid_res} gives {args.grid_res**model.n} cells in "
+            f"{model.n} dimensions; at most {_MAX_GRID_CELLS} are allowed"
+        )
     if args.gamma == "auto":
         gamma = np.asarray(model.train_score_floor, dtype=np.float64)
     else:

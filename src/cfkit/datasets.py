@@ -6,9 +6,19 @@ same dataset byte for byte.  Disks and annuli are sampled by rejection
 from their bounding box, which keeps the distribution exactly uniform.
 
 CSV schema: a single header row ``x1,...,xn,label`` with the label column
-last, labels being integers >= 1; no comment lines.  Floats are written
-with shortest round-trip precision, so write followed by read is lossless.
-Every numeric CSV table the package writes goes through :func:`write_table`.
+last, labels being integers >= 1; no comment lines; ASCII only.  Floats
+are written with shortest round-trip precision, so write followed by read
+is lossless.  Every numeric CSV table the package writes goes through
+:func:`write_table`, which formats each distinct value of a column once
+per chunk of rows.
+
+Reading converts all cells of a table in one numpy call, which parses
+each cell with Python ``float``.  Only a table that fails a check (a line
+with the wrong number of cells, a blank line, a cell ``float`` rejects, a
+non-finite coordinate, a label that is not an integer in ``1 .. 2**63 -
+1``) is parsed again line by line.  That parser skips blank lines, and it
+alone writes parse errors, naming the file and the first bad line.  A
+non-ASCII byte is reported with its file and line too.
 """
 
 from __future__ import annotations
@@ -266,7 +276,8 @@ def write_table(path, header, *blocks) -> None:
     same number of rows.  Float columns are written as shortest
     round-trip ``repr``, integer and bool columns as integers; the file
     is ASCII with ``\n`` line endings.  Rows are formatted and written in
-    chunks of ``_TABLE_CHUNK``.
+    chunks of ``_TABLE_CHUNK``, each distinct value of a chunk's column
+    formatted once.
     """
     columns = []
     for block in blocks:
@@ -281,11 +292,27 @@ def write_table(path, header, *blocks) -> None:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, _TABLE_CHUNK):
             cells = [
-                list(map(repr, column))
+                _format_column(column)
                 for c in columns
-                for column in c[start : start + _TABLE_CHUNK].T.tolist()
+                for column in c[start : start + _TABLE_CHUNK].T
             ]
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _format_column(column):
+    """The ``repr`` of each cell of a 1-D column, computed once per distinct value.
+
+    Float cells are told apart by their bits, so ``-0.0`` and ``0.0`` stay
+    distinct.  A column whose values are mostly distinct is formatted cell
+    by cell, which is cheaper than gathering.
+    """
+    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if 2 * distinct.size > column.size:
+        return list(map(repr, column.tolist()))
+    text = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
+    return text[np.searchsorted(distinct, keys)].tolist()
 
 
 def write_csv(dataset: LabeledDataset, path) -> None:
@@ -304,9 +331,22 @@ def read_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     return _read_rows(path, require_label=False)
 
 
+def read_ascii_lines(path) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte is reported with its line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Number lines as splitlines does; the appended stand-in for the bad
+        # byte puts it on a new line when a line break comes right before it.
+        lineno = len((raw[: exc.start].decode("ascii") + "?").splitlines())
+        raise DataError(f"{path}: line {lineno}: non-ASCII byte") from None
+    return text.splitlines()
+
+
 def _read_rows(path, require_label):
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
+    lines = read_ascii_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
@@ -316,15 +356,59 @@ def _read_rows(path, require_label):
     n = len(header) - (1 if has_label else 0)
     if n < 1:
         raise DataError(f"{path}: no feature columns")
+    table = _parse_bulk(lines[1:], len(header), n, has_label)
+    if table is None:
+        table = _parse_by_line(path, lines, len(header), n, has_label)
+    return table
+
+
+# Labels are stored as int64; a float label at or above this does not fit.
+_LABEL_LIMIT = 2.0**63
+
+
+def _parse_bulk(body, width, n, has_label):
+    """Parse every data line in one conversion, or return None.
+
+    None means some line or cell is not plainly valid: a line with the
+    wrong number of cells (a blank line has none, or one empty cell), a
+    cell ``float`` rejects, a non-finite coordinate or a bad label.  Then
+    :func:`_parse_by_line` parses again to report the first error with its
+    line, so error text is produced in one place only.  numpy converts
+    ``str`` cells with Python ``float``, so both parsers accept the same
+    cells and give the same values.
+    """
+    commas = width - 1
+    # Checked per line: a short row and a long row can balance in total.
+    if not body or any(line.count(",") != commas for line in body):
+        return None
+    try:
+        cells = np.array(",".join(body).split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    table = cells.reshape(len(body), width)
+    points = np.ascontiguousarray(table[:, :n])
+    # min and max propagate nan and reach inf without a temporary array.
+    if not (np.isfinite(points.min()) and np.isfinite(points.max())):
+        return None
+    if not has_label:
+        return points, None
+    labels = table[:, n]
+    if not np.all((labels >= 1) & (labels < _LABEL_LIMIT) & (labels == np.floor(labels))):
+        return None
+    return points, labels.astype(np.int64)
+
+
+def _parse_by_line(path, lines, width, n, has_label):
+    """Parse line by line, raising a ``DataError`` that names the first bad line."""
     rows = []
     labels = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != len(header):
+        if len(cells) != width:
             raise DataError(
-                f"{path}: line {lineno}: expected {len(header)} cells, "
+                f"{path}: line {lineno}: expected {width} cells, "
                 f"got {len(cells)}"
             )
         try:
@@ -345,6 +429,8 @@ def _read_rows(path, require_label):
                 raise DataError(f"{path}: line {lineno}: non-integer label")
             if value < 1:
                 raise DataError(f"label < 1 at line {lineno} of {path}")
+            if value >= _LABEL_LIMIT:
+                raise DataError(f"{path}: line {lineno}: label too large")
             labels.append(int(value))
         rows.append(coords)
     if not rows:

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestSynth:
         spec.write_text(OVERLAP_SPEC)
         out = tmp_path / "data.csv"
         assert run("synth", spec, "--n", 100, "--seed", 1, "--out", out) == 0
+
+    def test_non_ascii_spec(self, tmp_path, capsys):
+        spec = tmp_path / "accent.spec"
+        spec.write_bytes(TWO_DISK_SPEC.replace("well", "w\u00e9ll").encode("utf-8"))
+        assert run("synth", spec, "--n", 10, "--seed", 0, "--out", tmp_path / "x.csv") == 3
+        assert f"{spec}: line 1: non-ASCII byte" in capsys.readouterr().err
 
     def test_malformed_spec_line(self, tmp_path):
         spec = tmp_path / "bad.spec"
@@ -106,6 +114,12 @@ class TestTrain:
         data.write_text("x1,label\n0.5,1\ninf,2\n")
         assert run("train", data, "--out", tmp_path / "m.cfm") == 3
         assert f"{data}: line 3: non-finite coordinate" in capsys.readouterr().err
+
+    def test_non_ascii_csv(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xef\xbb\xbfx1,label\n0.5,1\n0.25,2\n")
+        assert run("train", data, "--out", tmp_path / "m.cfm") == 3
+        assert f"{data}: line 1: non-ASCII byte" in capsys.readouterr().err
 
     def test_bad_policy_flag(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"
@@ -176,6 +190,12 @@ class TestPredict:
         queries.write_text("x1\n0.0\n-inf\n")
         assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
         assert f"{queries}: line 3: non-finite coordinate" in capsys.readouterr().err
+
+    def test_non_ascii_query(self, tmp_path, hand_model, capsys):
+        queries = tmp_path / "queries.csv"
+        queries.write_bytes("x1\n0.0\n\u00bd\n".encode("utf-8"))
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{queries}: line 3: non-ASCII byte" in capsys.readouterr().err
 
     def test_output_matches_per_cell_reference(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"
@@ -323,6 +343,25 @@ class TestLevelset:
             "--grid-res", 4000, "--out", tmp_path / "g.csv",
         ) == 2
 
+    def test_cell_count_cap(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "ball.spec"
+        spec.write_text("class=1 kind=disk center=0,0,0 radius=1\n")
+        data = tmp_path / "ball.csv"
+        run("synth", spec, "--n", 60, "--seed", 1, "--out", data)
+        model = tmp_path / "ball.cfm"
+        assert run("train", data, "--degree", 2, "--out", model) == 0
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the size check")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        code = run(
+            "levelset", model, "--bounds=-1:1,-1:1,-1:1",
+            "--grid-res", 200, "--out", tmp_path / "g.csv",
+        )
+        assert code == 2
+        assert "8000000 cells" in capsys.readouterr().err
+
     def test_rerun_identical_grid(self, tmp_path, disk_model):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -395,6 +434,41 @@ def test_report_lines_parse_as_numbers(tmp_path, spec_file, capsys):
     levelset_out = capsys.readouterr().out
     assert "gamma_1 " in levelset_out
     assert_key_number_lines(levelset_out)
+
+
+# sha256 of every file written by the pipeline in test_pinned_output_bytes.
+# A change that moves any of them changes the bytes cfkit writes.
+PINNED_DIGESTS = {
+    "train.csv": "4c364c89478918a02876d99a381e055dc743e83d06f54ece84cb9ccacc6e9a63",
+    "test.csv": "a465941655e1a9b2e8c388acc4c7625f2539f099b599bcb2b0a665d318c5a31e",
+    "model.cfm": "84d5b7f619339e6b4eb437da0487d0a254a40513ae8de943bba76efd98906055",
+    "predict.csv": "818390c3d277c96976d2c3fa81162fb4ae3733b24c826582bdfb4a9f7760e6a4",
+    "report.txt": "592a28f065031777256c150b67cf69ab711d7255e7064d088dcb09c5b2f63a6b",
+    "grid.csv": "201a7f2b9d7521945a9f8fd1aa9a1b5d84cef1f6cc234df00f7511beec4127c0",
+}
+
+
+def test_pinned_output_bytes(tmp_path, spec_file):
+    """synth, train, predict, eval and levelset write the recorded bytes.
+
+    The model and score digests hold for the LAPACK and BLAS results of
+    numpy 2.4 with OpenBLAS 0.3 on x86-64; the two synth CSVs depend only
+    on numpy's PCG64 stream and ``repr``.
+    """
+    out = {name: tmp_path / name for name in PINNED_DIGESTS}
+    for argv in (
+        ("synth", spec_file, "--n", 150, "--seed", 11, "--out", out["train.csv"]),
+        ("synth", spec_file, "--n", 100, "--seed", 12, "--out", out["test.csv"]),
+        ("train", out["train.csv"], "--degree", 4, "--out", out["model.cfm"]),
+        ("predict", out["model.cfm"], out["test.csv"], "--out", out["predict.csv"]),
+        ("eval", out["model.cfm"], out["test.csv"], "--shapes", spec_file,
+         "--out", out["report.txt"]),
+        ("levelset", out["model.cfm"], "--bounds=-3.2:3.2,-1.2:1.2",
+         "--grid-res", 40, "--out", out["grid.csv"]),
+    ):
+        assert run(*argv) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == PINNED_DIGESTS
 
 
 class TestExitCodes:

@@ -20,7 +20,8 @@ from cfkit import (
     train_test_split,
     write_csv,
 )
-from cfkit.datasets import write_table
+from cfkit import datasets
+from cfkit.datasets import _read_rows, write_table
 from conftest import reference_table
 
 DISK = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1.0)
@@ -278,6 +279,114 @@ class TestCsv:
         with pytest.raises(DataError, match="label"):
             read_csv(path)
 
+    @pytest.mark.parametrize("reader", [read_csv, read_points_csv])
+    def test_non_ascii_byte_reports_line(self, tmp_path, reader):
+        path = tmp_path / "accent.csv"
+        path.write_bytes("x1,label\n0.5,1\n\n0.25,2\u00e9\n".encode("utf-8"))
+        message = re.escape(f"{path}: line 4: non-ASCII byte")
+        with pytest.raises(DataError, match=message):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_csv, read_points_csv])
+    def test_byte_order_mark_reports_line_one(self, tmp_path, reader):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,label\r\n0.5,1\r\n")
+        message = re.escape(f"{path}: line 1: non-ASCII byte")
+        with pytest.raises(DataError, match=message):
+            reader(path)
+
+
+# Inputs for the bulk parser against the line-by-line one: (text, labels
+# required, taken by the bulk parser).  The bulk parser takes only files
+# it can read as a whole; everything else goes line by line.
+READER_CASES = {
+    "blank-lines": ("x1,label\n0.5,1\n\n   \n0.25,2\n\n", True, False),
+    "blank-before-error": ("x1,x2,label\n0.5,0.5,1\n\n \n0.5,bad,1\n", True, False),
+    "blank-single-column": ("x1\n0.5\n\n0.25\n", False, False),
+    "crlf": ("x1,x2,label\r\n0.5,-0.0,1\r\n0.25,0.75,2\r\n", True, True),
+    "spaces-underscores": ("x1,x2,label\n 0.5 , 1_000 , 1 \n\t2,3 ,2\n", True, True),
+    "coordinate-inf": ("x1,x2,label\n0.5,0.5,1\n0.25,inf,2\n", True, False),
+    "coordinate-nan": ("x1,x2,label\n0.5,0.5,1\n0.25,nan,2\n", True, False),
+    "coordinate-minus-inf": ("x1,x2\n0.5,0.5\n-inf,0.25\n", False, False),
+    "label-inf": ("x1,label\n0.5,1\n0.25,inf\n", True, False),
+    "label-nan": ("x1,label\n0.5,1\n0.25,nan\n", True, False),
+    "label-minus-inf": ("x1,label\n0.5,1\n0.25,-inf\n", True, False),
+    "label-2.0": ("x1,label\n0.5,1\n0.25,2.0\n", True, True),
+    "label-0": ("x1,label\n0.5,1\n0.25,0\n", True, False),
+    "label-1.5": ("x1,label\n0.5,1\n0.25,1.5\n", True, False),
+    "label-1e300": ("x1,label\n0.5,1\n0.25,1e300\n", True, False),
+    "label-non-numeric": ("x1,label\n0.5,one\n", True, False),
+    "trailing-comma": ("x1,label\n0.5,1,\n", True, False),
+    # Six cells read as two rows of three hold valid points and labels;
+    # only the per-line count shows that line 2 is short.
+    "short-then-long": ("x1,x2,label\n0.5,1\n2,0.5,0.5,1\n", True, False),
+    "header-only": ("x1,label\n", True, False),
+    "empty": ("", True, False),
+    "no-label-column": ("x1,x2\n0.5,1.0\n-0.0,2\n", False, True),
+    "optional-label-present": ("x1,x2,label\n0.5,1.0,3\n", False, True),
+    "label-required-missing": ("x1,x2\n0.5,1.0\n", True, False),
+}
+
+
+def _outcome(path, require_label):
+    try:
+        return _read_rows(path, require_label)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestBulkReader:
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_matches_line_by_line_parser(self, tmp_path, monkeypatch, case):
+        text, require_label, bulk = READER_CASES[case]
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(text.encode("ascii"))
+        taken = []
+        parse_bulk = datasets._parse_bulk
+
+        def spy(*args):
+            table = parse_bulk(*args)
+            taken.append(table is not None)
+            return table
+
+        monkeypatch.setattr(datasets, "_parse_bulk", spy)
+        fast = _outcome(path, require_label)
+        assert any(taken) == bulk
+        monkeypatch.setattr(datasets, "_parse_bulk", lambda *args: None)
+        slow = _outcome(path, require_label)
+        if isinstance(slow, str):
+            assert fast == slow
+            return
+        for got, want in zip(fast, slow):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+    def test_short_then_long_reports_short_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(READER_CASES["short-then-long"][0])
+        message = re.escape(f"{path}: line 2: expected 3 cells, got 2")
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+
+    def test_huge_label_is_data_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(READER_CASES["label-1e300"][0])
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 3: label too large")):
+            read_csv(path)
+
+    def test_chunk_sized_file_round_trips(self, tmp_path, rng):
+        data = LabeledDataset(rng.normal(size=(5000, 3)), rng.integers(1, 4, size=5000))
+        path = tmp_path / "big.csv"
+        write_csv(data, path)
+        assert datasets._parse_bulk(path.read_text().splitlines()[1:], 4, 3, True)
+        back = read_csv(path)
+        assert back.points.tobytes() == data.points.tobytes()
+        np.testing.assert_array_equal(back.labels, data.labels)
+
 
 class TestWriteTable:
     @pytest.mark.parametrize("rows", [1, 4096, 8193])
@@ -291,6 +400,37 @@ class TestWriteTable:
         path = tmp_path / "table.csv"
         write_table(path, header, floats, ints, labels, flags)
         assert path.read_bytes() == reference_table(header, floats, ints, labels, flags)
+
+    @pytest.mark.parametrize("rows", [1, 4096, 8193])
+    def test_special_and_repeated_values(self, tmp_path, rng, rows):
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 0.5, 0.5])
+        mixed = np.resize(special, rows)
+        sparse = np.where(rng.random(rows) < 0.5, 0.0, rng.normal(size=rows))
+        path = tmp_path / "special.csv"
+        write_table(path, ["a", "b"], mixed, sparse)
+        assert path.read_bytes() == reference_table(["a", "b"], mixed, sparse)
+
+    def test_values_repeat_across_chunk_boundary(self, tmp_path):
+        chunk = datasets._TABLE_CHUNK
+        rows = 2 * chunk + 7
+        # a grid axis: each value held for 100 rows, straddling each boundary
+        axis = np.repeat(np.linspace(-1.0, 1.0, rows // 100 + 1), 100)[:rows]
+        assert axis[chunk - 1] == axis[chunk]
+        labels = np.repeat([1, 2, 3], rows // 3 + 1)[:rows]
+        path = tmp_path / "boundary.csv"
+        write_table(path, ["x1", "label"], axis, labels)
+        assert path.read_bytes() == reference_table(["x1", "label"], axis, labels)
+
+    @pytest.mark.parametrize("rows", [1, 4096, 8193])
+    def test_all_distinct_and_all_equal_columns(self, tmp_path, rng, rows):
+        distinct = rng.normal(size=rows)
+        equal = np.full(rows, -0.0)
+        counts = np.arange(rows)
+        ones = np.ones(rows, dtype=np.int64)
+        header = ["d", "e", "c", "o"]
+        path = tmp_path / "columns.csv"
+        write_table(path, header, distinct, equal, counts, ones)
+        assert path.read_bytes() == reference_table(header, distinct, equal, counts, ones)
 
     def test_blocks_must_align(self, tmp_path):
         with pytest.raises(ValueError, match="same number of rows"):
