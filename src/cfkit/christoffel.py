@@ -16,7 +16,8 @@ leaves the retained eigenspace get L = 0, exactly as the variational form
 dictates (some polynomial vanishing on the sample is nonzero at x, so the
 infimum is 0).  The inverse score q = 1/L is reported as ``inf`` there.
 
-Scoring is one matrix product per chunk of query rows.  The evaluator
+Scoring is one matrix product per block of ``EVAL_CHUNK`` query rows
+(the row blocks of ``moments``, which assembly uses too).  The evaluator
 holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
 inverse square roots of their eigenvalues, then an orthonormal basis D of
 the complement of their span, derived from E alone.  With Y = V W, the
@@ -31,15 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .moments import MomentMatrix
+from .moments import EVAL_CHUNK, MomentMatrix, row_blocks
 from .multiindex import MonomialBasis, eval_monomials_batch
 
 # Relative projection residual above which a query point is declared
 # outside the retained eigenspace.
 OFF_RANGE_TOL = 1e-8
-
-# Query rows per basis evaluation; bounds the (rows, size) working arrays.
-EVAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -155,12 +153,6 @@ def build_evaluator(
         mass=M.mass,
         policy=policy,
     )
-
-
-def row_blocks(n_rows: int):
-    """Consecutive slices of at most ``EVAL_CHUNK`` rows covering ``n_rows``."""
-    for start in range(0, n_rows, EVAL_CHUNK):
-        yield slice(start, min(start + EVAL_CHUNK, n_rows))
 
 
 def inverse_scores_from_values(ev: ChristoffelEvaluator, values) -> np.ndarray:

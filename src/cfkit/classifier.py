@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .moments import (
     moment_matrix_from_values,
 )
 from .multiindex import (
+    basis_dimension,
     enumerate_basis,
     enumerate_tensor_basis,
     enumerate_variety_basis,
@@ -54,24 +54,19 @@ class InterpolationBasis:
 
     theta_j has degree m-1, theta_j(i) = 1 if i == j else 0, and the
     family sums to 1 everywhere.  Evaluation uses the product form
-    prod_{i != j} (y - i) / (j - i); at integer y this yields exact 0.0
-    and 1.0 values, which the classifier relies on.
+    prod_{i != j} (y - i) / (j - i), one row of an (m, m) array per j with
+    1 on the diagonal; at integer y this yields exact 0.0 and 1.0 values,
+    which the classifier relies on.
     """
 
     m: int
 
     def eval_all(self, y: float) -> np.ndarray:
-        out = np.empty(self.m)
-        for j in range(1, self.m + 1):
-            num = 1.0
-            den = 1.0
-            for i in range(1, self.m + 1):
-                if i == j:
-                    continue
-                num *= y - i
-                den *= j - i
-            out[j - 1] = num / den
-        return out
+        nodes = np.arange(1.0, self.m + 1)
+        off = ~np.eye(self.m, dtype=bool)
+        num = np.where(off, y - nodes, 1.0).prod(axis=1)
+        den = np.where(off, nodes[:, None] - nodes, 1.0).prod(axis=1)
+        return num / den
 
 
 def make_theta(m: int) -> InterpolationBasis:
@@ -104,7 +99,7 @@ def default_degree(dataset: LabeledDataset) -> int:
     counts = np.bincount(dataset.labels, minlength=dataset.m + 1)[1:]
     budget = int(np.ceil(counts.min() / 2))
     t = 1
-    while comb(dataset.n + t + 1, dataset.n) <= budget:
+    while basis_dimension(dataset.n, t + 1) <= budget:
         t += 1
     return t
 
@@ -222,14 +217,8 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     scaled = model.transform.forward(np.asarray(x, dtype=np.float64)[None, :])
     q = inverse_scores(model.evaluators, scaled)[0]
     weights = make_theta(model.m).eval_all(y) ** 2
-    acc = 0.0
-    for w, qk in zip(weights, q):
-        if w == 0.0:
-            continue
-        if np.isinf(qk):
-            return 0.0
-        acc += w * qk
-    return 1.0 / acc
+    used = weights != 0.0
+    return float(cf_from_inverse(np.array([weights[used] @ q[used]]))[0])
 
 
 def variety_cf(
@@ -302,30 +291,21 @@ def sandwich_check(
     q_low = eval_cf_inverse_batch(low, pts)
     q_mid = eval_cf_inverse_batch(mid, pts)
     q_high = eval_cf_inverse_batch(high, pts)
-    violations = []
-    max_excess = 0.0
-    for i in range(pts.shape[0]):
-        for name, a, b in (
-            ("variety<=tensor", q_low[i], q_mid[i]),
-            ("tensor<=variety+", q_mid[i], q_high[i]),
-        ):
-            excess = _ordering_excess(a, b)
-            if excess > 0.0:
-                violations.append((i, name, float(a), float(b)))
-                max_excess = max(max_excess, excess)
+    a = np.stack([q_low, q_mid], axis=1)
+    b = np.stack([q_mid, q_high], axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf; the inf rule below decides
+        excess = a - b - 1e-9 * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+    excess = np.where(
+        np.isinf(b), 0.0, np.where(np.isinf(a), np.inf, np.maximum(excess, 0.0))
+    )
+    names = ("variety<=tensor", "tensor<=variety+")
+    violations = [
+        (int(i), names[k], float(a[i, k]), float(b[i, k]))
+        for i, k in zip(*np.nonzero(excess > 0.0))
+    ]
     return SandwichReport(
         n_points=pts.shape[0],
         n_violations=len(violations),
         violations=violations,
-        max_excess=max_excess,
+        max_excess=float(excess.max(initial=0.0)),
     )
-
-
-def _ordering_excess(a: float, b: float) -> float:
-    """How far a <= b fails, with slack 1e-9 * (1 + magnitude); 0 if it holds."""
-    if np.isinf(b):
-        return 0.0
-    if np.isinf(a):
-        return np.inf
-    slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
-    return max(0.0, a - b - slack)

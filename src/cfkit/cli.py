@@ -8,13 +8,15 @@ skipped.  Examples::
     class=2 kind=annulus center=2,0 inner=0.5 outer=1
     class=3 kind=box low=-1,-1 high=1,1
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-Metrics are printed as a key-value text document; tables are CSV.
+Exit codes: 0 success, 2 usage error (also a bad value of a flag that holds
+for the whole run, checked before any work), 3 data error, 4 numerical
+failure.  Metrics are printed as a key-value text document; tables are CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -23,7 +25,6 @@ import numpy as np
 from . import classifier, datasets, metrics, persist
 from .christoffel import ThresholdPolicy
 from .errors import DataError, NumericalError
-from .multiindex import basis_dimension
 
 
 class UsageError(Exception):
@@ -87,6 +88,11 @@ def _parse_int_list(text, flag):
     return values
 
 
+def _require_finite(value, flag):
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value!r}")
+
+
 def cmd_synth(args):
     specs = read_shape_specs(args.spec)
     data = datasets.gen_shapes(specs, args.n, args.seed)
@@ -96,6 +102,8 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    if args.reject_gamma is not None:
+        _require_finite(args.reject_gamma, "--reject-gamma")
     data = datasets.read_csv(args.data)
     policy = _parse_policy(args.threshold_policy)
     if args.degree == "auto":
@@ -113,7 +121,7 @@ def cmd_train(args):
         class_prior_weights=args.class_prior_weights,
         reject_threshold=args.reject_gamma,
     )
-    size = basis_dimension(model.n, model.degree)
+    size = model.evaluators[0].basis.size
     print(f"degree {model.degree} (basis size {size})")
     for j, ev in enumerate(model.evaluators, start=1):
         lam_max = float(ev.eigenvalues[0])
@@ -155,8 +163,7 @@ def cmd_predict(args):
 def _score_scale(model, normalize):
     if not normalize:
         return np.ones(model.m)
-    size = basis_dimension(model.n, model.degree)
-    return np.array([size / ev.mass for ev in model.evaluators])
+    return np.array([ev.basis.size / ev.mass for ev in model.evaluators])
 
 
 def cmd_eval(args):
@@ -200,9 +207,11 @@ def cmd_levelset(args):
         gamma = np.asarray(model.train_score_floor, dtype=np.float64)
     else:
         try:
-            gamma = np.full(model.m, float(args.gamma))
+            value = float(args.gamma)
         except ValueError:
             raise UsageError("--gamma expects a float or 'auto'") from None
+        _require_finite(value, "--gamma")
+        gamma = np.full(model.m, value)
     axes = [np.linspace(lo, hi, args.grid_res) for lo, hi in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
@@ -238,17 +247,23 @@ def _parse_bounds(text, n):
             lo, hi = float(lo), float(hi)
         except ValueError:
             raise UsageError(f"bad bound {part!r}") from None
-        if not sep or not lo < hi:
+        if not sep or not lo < hi or not math.isfinite(hi - lo):
             raise UsageError(f"bad bound {part!r}")
         bounds.append((lo, hi))
     return bounds
 
 
 def cmd_sweep(args):
-    specs = read_shape_specs(args.spec)
     n_list = _parse_int_list(args.n_list, "--n-list")
     t_list = _parse_int_list(args.t_list, "--t-list")
     seeds = _parse_int_list(args.seeds, "--seeds")
+    for flag, values, low in (("--n-list", n_list, 1), ("--t-list", t_list, 1),
+                              ("--test-n", [args.test_n], 1), ("--seeds", seeds, 0)):
+        if min(values) < low:
+            raise UsageError(f"{flag} must be at least {low}")
+    if not 0 <= args.epsilon < math.inf:
+        raise UsageError(f"--epsilon must be finite and at least 0, got {args.epsilon!r}")
+    specs = read_shape_specs(args.spec)
     lines = ["n,t,seed,accuracy,eps_interior_accuracy,runtime_seconds,error"]
     for n_train in n_list:
         for t in t_list:
@@ -299,7 +314,7 @@ def build_parser():
     p = sub.add_parser("train", help="fit per-class evaluators and save a model")
     p.add_argument("data", help="labeled CSV")
     p.add_argument("--degree", default="auto", help="polynomial degree or 'auto'")
-    p.add_argument("--threshold-policy", default="rel:1e-10",
+    p.add_argument("--threshold-policy", default=ThresholdPolicy().to_string(),
                    help="rel:<float> or tikhonov:<float>")
     p.add_argument("--class-prior-weights", action="store_true",
                    help="weight class measures by class frequency")

@@ -2,8 +2,9 @@
 
 A moment matrix is the Gram matrix of a monomial basis under a discrete
 measure: M[a, b] = sum_i w_i * x_i^(a+b).  Assembly runs over the points
-in their stored order, in fixed-size blocks combined with compensated
-summation, so the result does not depend on how work might be partitioned.
+in their stored order, in the ``row_blocks`` that query scoring uses too,
+combined with compensated summation, so the result does not depend on how
+work might be partitioned.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import numpy as np
 from .errors import DataError
 from .multiindex import MonomialBasis, eval_monomials_batch
 
-_ASSEMBLY_BLOCK = 4096
+# Rows per block of basis values; bounds the (rows, size) working arrays.
+EVAL_CHUNK = 4096
+
+
+def row_blocks(n_rows: int):
+    """Consecutive slices of at most ``EVAL_CHUNK`` rows covering ``n_rows``."""
+    for start in range(0, n_rows, EVAL_CHUNK):
+        yield slice(start, min(start + EVAL_CHUNK, n_rows))
 
 
 @dataclass
@@ -144,8 +152,7 @@ def _assemble_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     s = values.shape[1]
     total = np.zeros((s, s))
     comp = np.zeros((s, s))
-    for start in range(0, values.shape[0], _ASSEMBLY_BLOCK):
-        block = slice(start, start + _ASSEMBLY_BLOCK)
+    for block in row_blocks(values.shape[0]):
         part = (values[block] * weights[block][:, None]).T @ values[block]
         y = part - comp
         updated = total + y

@@ -112,14 +112,24 @@ def chunk_crossing_queries():
 
 @pytest.fixture(scope="session")
 def rank_deficient():
-    """Training data and a t = 5 model of the three shapes.
+    """Training data and a t = 5 model of a circle, the annulus and the box.
 
-    At t = 5 the disk and box classes lose rank and score 0 almost
-    everywhere, while the annulus keeps full rank and scores > 0.
+    Class 1 lies on the circle of centre (-3, 0) and radius 1.  Polynomials
+    of degree <= t restricted to a conic span 2t + 1 dimensions, so its
+    moment matrix has rank 11 of 21 whatever the sample size, and points
+    off the circle score 0.  The annulus keeps full rank and scores > 0.
     """
-    train = gen_shapes(THREE_SHAPES, 1500, seed=11)
-    model = fit(train, degree=5)
-    assert any(ev.rank < ev.basis.size for ev in model.evaluators)
+    degree, count = 5, 1500
+    angles = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, count)
+    circle = np.stack([np.cos(angles) - 3.0, np.sin(angles)], axis=1)
+    rest = gen_shapes(THREE_SHAPES[1:], count, seed=11)
+    train = LabeledDataset(
+        np.vstack([circle, rest.points]),
+        np.concatenate([np.ones(count, dtype=np.int64), rest.labels]),
+    )
+    model = fit(train, degree=degree)
+    circle_ev = model.evaluators[0]
+    assert (circle_ev.rank, circle_ev.basis.size) == (2 * degree + 1, 21)
     return train, model
 
 

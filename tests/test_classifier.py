@@ -7,9 +7,11 @@ from cfkit import (
     DataError,
     LabeledDataset,
     REJECT_LABEL,
+    ShapeSpec,
     ThresholdPolicy,
     build_evaluator,
     class_split,
+    classifier,
     classify,
     classify_batch,
     default_degree,
@@ -22,6 +24,7 @@ from cfkit import (
     eval_joint_inverse,
     eval_monomials_batch,
     fit,
+    gen_shapes,
     joint_cf,
     joint_moment_matrix,
     make_theta,
@@ -31,6 +34,7 @@ from cfkit import (
     tensor_cf,
     variety_cf,
 )
+from cfkit.christoffel import inverse_scores
 from conftest import chunk_crossing_queries, random_joint_dataset, separated_points
 
 
@@ -68,6 +72,25 @@ class TestInterpolationBasis:
             theta = make_theta(m)
             for y in np.linspace(-1.0, m + 1.0, 10):
                 assert theta.eval_all(y).sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_sequential_product_bit_for_bit(self, rng):
+        def sequential(m, y):
+            out = []
+            for j in range(1, m + 1):
+                num = den = 1.0
+                for i in range(1, m + 1):
+                    if i != j:
+                        num *= y - i
+                        den *= j - i
+                out.append(num / den)
+            return np.array(out)
+
+        for m in range(1, 13):
+            theta = make_theta(m)
+            ys = [float(y) for y in range(-2, m + 3)]
+            ys += [float(y) for y in rng.uniform(-2.0, m + 2.0, size=40)]
+            for y in ys:
+                np.testing.assert_array_equal(theta.eval_all(y), sequential(m, y))
 
     def test_class_count_bounds(self):
         with pytest.raises(ValueError):
@@ -255,6 +278,38 @@ class TestJointFormulas:
             1.0 / (4.0 * q[0] + q[1]), rel=1e-12
         )
 
+    def test_matches_sequential_sum(self, rng, rank_deficient):
+        # Reference: the theta-weighted sum as a loop over the classes,
+        # zero weights skipped and an inf term giving 0.  Only the order
+        # in which the nonzero terms are added may differ.
+        def sequential(weights, q):
+            acc = 0.0
+            for w, qk in zip(weights, q):
+                if w == 0.0:
+                    continue
+                if np.isinf(qk):
+                    return 0.0
+                acc += w * qk
+            return 1.0 / acc
+
+        train, model = rank_deficient
+        theta = make_theta(model.m)
+        xs = np.vstack([train.points[::300], rng.uniform(-4.0, 4.0, size=(20, 2))])
+        ys = [1.0, 2.0, 3.0] + list(rng.uniform(0.0, 4.0, size=6))
+        zero = positive = 0
+        for x in xs:
+            q = inverse_scores(model.evaluators, model.transform.forward(x[None, :]))[0]
+            for y in ys:
+                expected = sequential(theta.eval_all(y) ** 2, q)
+                got = joint_cf(model, x, y)
+                if y == int(y):
+                    assert got == expected
+                else:
+                    assert abs(got - expected) <= 1e-15 * expected
+                zero += expected == 0.0
+                positive += expected > 0.0
+        assert zero and positive
+
     def test_variety_single_class_reduces_to_plain(self, rng):
         pts = rng.uniform(-1, 1, size=(15, 1))
         data = LabeledDataset(pts, np.ones(15, dtype=int))
@@ -386,6 +441,45 @@ class TestSandwich:
                 else:
                     assert a <= b + 1e-9 * (1 + abs(a))
 
+    def test_crafted_scores_report_every_branch(self, monkeypatch):
+        # Inverse scores per joint point under the variety basis at t,
+        # the tensor basis at t and the variety basis at t + m - 1.
+        inf = np.inf
+        table = {
+            ("variety", 2): [1.0, inf, inf, 1.0 + 1e-10, 3.0, 3.0, 1.0],
+            ("tensor", 2): [2.0, inf, 2.0, 1.0, 5.0, 2.0, inf],
+            ("variety", 3): [3.0, inf, inf, 1.0, 4.0, 1.0, 7.0],
+        }
+        monkeypatch.setattr(
+            classifier, "variety_cf", lambda data, t, policy: ("variety", t)
+        )
+        monkeypatch.setattr(
+            classifier, "tensor_cf", lambda data, t, policy: ("tensor", t)
+        )
+        monkeypatch.setattr(
+            classifier, "eval_cf_inverse_batch", lambda ev, pts: np.array(table[ev])
+        )
+        data = LabeledDataset(np.array([[0.0], [1.0]]), [1, 2])
+        grid = np.zeros((7, 2))
+        report = sandwich_check(data, 2, grid)
+        # point 1: b = inf twice; point 3: within the slack; point 2 and
+        # point 6: a = inf against a finite b; points 4 and 5: beyond it
+        assert report.violations == [
+            (2, "variety<=tensor", inf, 2.0),
+            (4, "tensor<=variety+", 5.0, 4.0),
+            (5, "variety<=tensor", 3.0, 2.0),
+            (5, "tensor<=variety+", 2.0, 1.0),
+            (6, "tensor<=variety+", inf, 7.0),
+        ]
+        assert report.n_points == 7 and report.n_violations == 5
+        assert report.max_excess == inf
+
+        for key in table:
+            table[key] = table[key][3:6]
+        report = sandwich_check(data, 2, grid[:3])
+        assert report.n_violations == 3
+        assert report.max_excess == 2.0 - 1.0 - 1e-9 * (1.0 + 2.0)
+
     def test_rejects_tikhonov_policy(self, rng):
         data = random_joint_dataset(rng, 1, 2, [4, 4])
         with pytest.raises(ValueError):
@@ -412,3 +506,24 @@ class TestSeparation:
         own = sc[np.arange(truth.size), truth - 1]
         other = sc[np.arange(truth.size), 2 - truth]
         assert np.all(own > other)
+
+
+class TestHighDegree:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Gram eigenvalue cutoff discards real mass from t = 6 on "
+        "(ROADMAP item 1)",
+    )
+    def test_two_disks_keep_their_own_points(self):
+        specs = [
+            ShapeSpec(kind="disk", label=1, center=(-2.0, 0.0), radius=1.0),
+            ShapeSpec(kind="disk", label=2, center=(2.0, 0.0), radius=1.0),
+        ]
+        train = gen_shapes(specs, 500, seed=21)
+        test = gen_shapes(specs, 500, seed=22)
+        rows = np.arange(train.n_points)
+        for t in (6, 8, 12):
+            model = fit(train, degree=t)
+            own = scores_batch(model, train.points)[rows, train.labels - 1]
+            assert (own == 0).mean() == 0.0, t
+            assert (classify_batch(model, test.points) == test.labels).mean() == 1.0, t

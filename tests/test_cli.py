@@ -130,6 +130,15 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_reject_gamma(self, tmp_path, spec_file, capsys, gamma):
+        data = tmp_path / "data.csv"
+        run("synth", spec_file, "--n", 50, "--seed", 0, "--out", data)
+        model = tmp_path / "m.cfm"
+        assert run("train", data, f"--reject-gamma={gamma}", "--out", model) == 2
+        assert "--reject-gamma must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestPredict:
     @pytest.fixture
@@ -337,6 +346,28 @@ class TestLevelset:
             "--out", tmp_path / "g.csv",
         ) == 2
 
+    @pytest.mark.parametrize("bounds", ["-inf:inf,-1:1", "-1e308:1e308,-1:1"])
+    def test_infinite_bound_width(self, tmp_path, monkeypatch, capsys, disk_model, bounds):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the bounds check")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "g.csv"
+        assert run("levelset", disk_model, f"--bounds={bounds}", "--out", out) == 2
+        assert "bad bound" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma(self, tmp_path, capsys, disk_model, gamma):
+        out = tmp_path / "g.csv"
+        code = run(
+            "levelset", disk_model, "--bounds=-3:3,-1:1", "--grid-res", 10,
+            "--gamma", gamma, "--out", out,
+        )
+        assert code == 2
+        assert "--gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resolution_cap(self, tmp_path, disk_model):
         assert run(
             "levelset", disk_model, "--bounds=-1:1,-1:1",
@@ -406,6 +437,29 @@ class TestSweep:
             "sweep", spec_file, "--n-list", "", "--t-list", "2",
             "--seeds", "0", "--out", tmp_path / "s.csv",
         ) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--test-n", "0", "--test-n must be at least 1"),
+            ("--n-list", "0,40", "--n-list must be at least 1"),
+            ("--t-list", "0", "--t-list must be at least 1"),
+            ("--seeds", "0,-1", "--seeds must be at least 0"),
+            ("--epsilon", "-1", "--epsilon must be finite and at least 0"),
+            ("--epsilon", "nan", "--epsilon must be finite and at least 0"),
+            ("--epsilon", "inf", "--epsilon must be finite and at least 0"),
+        ],
+    )
+    def test_out_of_range_flag_fails_the_run(
+        self, tmp_path, spec_file, capsys, flag, value, message
+    ):
+        args = {"--n-list": "40", "--t-list": "2", "--seeds": "0", "--test-n": "80"}
+        args[flag] = value
+        out = tmp_path / "s.csv"
+        argv = [a for pair in args.items() for a in pair]
+        assert run("sweep", spec_file, *argv, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def assert_key_number_lines(text):
