@@ -29,6 +29,7 @@ from .classifier import (
     eval_joint,
     eval_joint_inverse,
     fit,
+    fit_degrees,
     joint_cf,
     make_theta,
     sandwich_check,
@@ -50,7 +51,13 @@ from .datasets import (
     write_csv,
 )
 from .errors import CfkitError, DataError, NumericalError
-from .metrics import MetricsReport, confusion_matrix, evaluate_model, render_report
+from .metrics import (
+    MetricsReport,
+    confusion_matrix,
+    evaluate_model,
+    evaluate_models,
+    render_report,
+)
 from .moments import (
     EmpiricalMeasure,
     LabeledDataset,

@@ -193,17 +193,24 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     Returns shape (rows, len(evaluators)).  The evaluators share one
     basis, which is evaluated once per row chunk; the chunk is then
     scored against every evaluator.  Points off an evaluator's retained
-    eigenspace get ``inf`` in its column.
+    eigenspace get ``inf`` in its column.  So do points so far out that
+    their basis values or scores overflow: a q that is not finite is
+    reported as ``inf``, without floating-point warnings, and every other
+    row is computed exactly as it would be without them.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("expected a 2-D array of query points")
     basis = evaluators[0].basis
     q = np.empty((pts.shape[0], len(evaluators)))
-    for block in row_blocks(pts.shape[0]):
-        values = eval_monomials_batch(basis, pts[block])
-        for k, ev in enumerate(evaluators):
-            q[block, k] = inverse_scores_from_values(ev, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in row_blocks(pts.shape[0]):
+            values = eval_monomials_batch(basis, pts[block])
+            for k, ev in enumerate(evaluators):
+                q[block, k] = inverse_scores_from_values(ev, values)
+            # Per block, so the mask is no larger than the other working arrays.
+            chunk = q[block]
+            chunk[~np.isfinite(chunk)] = np.inf
     return q
 
 

@@ -33,6 +33,7 @@ from .christoffel import (
 from .datasets import AffineTransform, scale_to_unit_box
 from .moments import (
     LabeledDataset,
+    MomentMatrix,
     class_split,
     joint_moment_matrix,
     moment_matrix_from_values,
@@ -117,22 +118,54 @@ def fit(
     Inputs are affinely rescaled to [-1, 1]^n before moments are
     assembled (monomial Gram matrices are badly conditioned otherwise);
     pass ``scale=False`` to work in the raw coordinates.  With ``degree``
-    unset a conservative default is derived from the class sizes.
+    unset a conservative default is derived from the class sizes.  This
+    is the one-degree case of :func:`fit_degrees`.
     """
-    if policy is None:
-        policy = ThresholdPolicy()
     if degree is None:
         degree = default_degree(dataset)
-    if degree < 1:
+    return fit_degrees(
+        dataset, [degree], policy, scale, class_prior_weights, reject_threshold
+    )[0]
+
+
+def fit_degrees(
+    dataset: LabeledDataset,
+    degrees: list[int],
+    policy: ThresholdPolicy | None = None,
+    scale: bool = True,
+    class_prior_weights: bool = False,
+    reject_threshold: float | None = None,
+) -> list[ClassifierModel]:
+    """One model per entry of ``degrees``, all fitted from one pass over the data.
+
+    The rescaling, the class split and, per class, the basis values and
+    the moment matrix at ``max(degrees)`` are computed once.  The basis is
+    graded, so the degree-t basis is the leading ``s_t`` entries of it,
+    the degree-t moment matrix is the leading ``s_t x s_t`` block, and the
+    training values at degree t are the leading ``s_t`` columns.  Each
+    entry gets its own evaluators and 5% training score floor from those;
+    duplicate and unsorted entries are kept in order.  A one-degree call
+    is the same arithmetic as a fit at that degree.  The blocks can differ
+    from a separate assembly at degree t in the last bits (the matrix
+    product sums in a shape-dependent order).  Other arguments are as in
+    :func:`fit`.
+    """
+    degrees = list(degrees)
+    if not degrees:
+        raise ValueError("degrees must not be empty")
+    if min(degrees) < 1:
         raise ValueError("degree must be at least 1")
+    if policy is None:
+        policy = ThresholdPolicy()
     if scale:
         scaled, transform = scale_to_unit_box(dataset)
     else:
         scaled, transform = dataset, AffineTransform.identity(dataset.n)
-    basis = enumerate_basis(dataset.n, degree)
+    bases = {t: enumerate_basis(dataset.n, t) for t in set(degrees)}
+    top = bases[max(degrees)]
     measures = class_split(scaled, class_prior_weights=class_prior_weights)
-    evaluators = []
-    floors = np.empty(dataset.m)
+    evaluators = [[] for _ in degrees]
+    floors = [np.empty(dataset.m) for _ in degrees]
     for label, measure in enumerate(measures, start=1):
         if measure.points.shape[0] > 1 and np.all(
             measure.points == measure.points[0]
@@ -141,25 +174,31 @@ def fit(
                 f"class {label}: all points identical, evaluator has rank 1",
                 stacklevel=2,
             )
-        values = eval_monomials_batch(basis, measure.points)
-        matrix = moment_matrix_from_values(basis, values, measure.weights, measure.mass)
-        ev = build_evaluator(matrix, policy)
-        evaluators.append(ev)
-        own = cf_from_inverse(inverse_scores_from_values(ev, values))
-        floors[label - 1] = np.percentile(own, 5.0)
+        values = eval_monomials_batch(top, measure.points)
+        gram = moment_matrix_from_values(top, values, measure.weights, measure.mass)
+        for k, t in enumerate(degrees):
+            s = bases[t].size
+            block = MomentMatrix(bases[t], gram.entries[:s, :s], measure.mass)
+            ev = build_evaluator(block, policy)
+            evaluators[k].append(ev)
+            own = cf_from_inverse(inverse_scores_from_values(ev, values[:, :s]))
+            floors[k][label - 1] = np.percentile(own, 5.0)
         # Free this class's basis values before the next class's are
         # built, so at most one (points, size) array is alive.
         del values
-    return ClassifierModel(
-        m=dataset.m,
-        degree=degree,
-        evaluators=evaluators,
-        transform=transform,
-        policy=policy,
-        class_prior_weights=class_prior_weights,
-        reject_threshold=reject_threshold,
-        train_score_floor=floors,
-    )
+    return [
+        ClassifierModel(
+            m=dataset.m,
+            degree=t,
+            evaluators=evaluators[k],
+            transform=transform,
+            policy=policy,
+            class_prior_weights=class_prior_weights,
+            reject_threshold=reject_threshold,
+            train_score_floor=floors[k],
+        )
+        for k, t in enumerate(degrees)
+    ]
 
 
 def scores_batch(model: ClassifierModel, points) -> np.ndarray:

@@ -93,6 +93,11 @@ def _require_finite(value, flag):
         raise UsageError(f"{flag} must be finite, got {value!r}")
 
 
+def _require_epsilon(value):
+    if not 0 <= value < math.inf:
+        raise UsageError(f"--epsilon must be finite and at least 0, got {value!r}")
+
+
 def cmd_synth(args):
     specs = read_shape_specs(args.spec)
     data = datasets.gen_shapes(specs, args.n, args.seed)
@@ -167,6 +172,7 @@ def _score_scale(model, normalize):
 
 
 def cmd_eval(args):
+    _require_epsilon(args.epsilon)
     model = persist.load_model(args.model)
     data = datasets.read_csv(args.data)
     if data.n != model.n:
@@ -261,35 +267,44 @@ def cmd_sweep(args):
                               ("--test-n", [args.test_n], 1), ("--seeds", seeds, 0)):
         if min(values) < low:
             raise UsageError(f"{flag} must be at least {low}")
-    if not 0 <= args.epsilon < math.inf:
-        raise UsageError(f"--epsilon must be finite and at least 0, got {args.epsilon!r}")
+    _require_epsilon(args.epsilon)
     specs = read_shape_specs(args.spec)
     lines = ["n,t,seed,accuracy,eps_interior_accuracy,runtime_seconds,error"]
     for n_train in n_list:
-        for t in t_list:
-            for seed in seeds:
-                started = time.perf_counter()
-                try:
-                    train = datasets.gen_shapes(specs, n_train, seed)
-                    test = datasets.gen_shapes(specs, args.test_n, seed + 999983)
-                    model = classifier.fit(train, degree=t)
-                    report = metrics.evaluate_model(
-                        model, test, specs=specs, eps=args.epsilon
-                    )
-                    elapsed = time.perf_counter() - started
-                    eps_acc = report.eps_interior_accuracy
-                    lines.append(
-                        f"{n_train},{t},{seed},{report.accuracy!r},"
-                        f"{'' if eps_acc is None else repr(eps_acc)},"
-                        f"{elapsed:.4f},"
-                    )
-                except (DataError, NumericalError, ValueError) as exc:
-                    elapsed = time.perf_counter() - started
-                    message = str(exc).replace(",", ";").replace("\n", " ")
-                    lines.append(f"{n_train},{t},{seed},,,{elapsed:.4f},{message}")
+        groups = [
+            _sweep_group(specs, n_train, t_list, seed, args.test_n, args.epsilon)
+            for seed in seeds
+        ]
+        for k, t in enumerate(t_list):
+            for seed, cells in zip(seeds, groups):
+                lines.append(f"{n_train},{t},{seed},{cells[k]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: {len(lines) - 1} rows")
     return 0
+
+
+def _sweep_group(specs, n_train, t_list, seed, test_n, eps):
+    """The sweep cells after ``n,t,seed`` for every degree of one (N, seed).
+
+    Train and test data, the fit and the eps-interior mask are shared by
+    the degrees (see ``fit_degrees`` and ``evaluate_models``), so an error
+    fills every cell of the group.  Each cell reports the group's wall time
+    over ``len(t_list)``, so the runtime column still sums to the sweep time.
+    """
+    started = time.perf_counter()
+    try:
+        train = datasets.gen_shapes(specs, n_train, seed)
+        test = datasets.gen_shapes(specs, test_n, seed + 999983)
+        models = classifier.fit_degrees(train, t_list)
+        reports = metrics.evaluate_models(models, test, specs=specs, eps=eps)
+        cells = []
+        for r in reports:
+            eps_acc = "" if r.eps_interior_accuracy is None else repr(r.eps_interior_accuracy)
+            cells.append((f"{r.accuracy!r},{eps_acc}", ""))
+    except (DataError, NumericalError, ValueError) as exc:
+        cells = [(",", str(exc).replace(",", ";").replace("\n", " "))] * len(t_list)
+    runtime = (time.perf_counter() - started) / len(t_list)
+    return [f"{accuracies},{runtime:.4f},{error}" for accuracies, error in cells]
 
 
 def _write_text(path, text):

@@ -56,10 +56,32 @@ def evaluate_model(
     With shapes and ``eps`` given, a second accuracy figure restricted to
     the eps-interior test points is included.
     """
-    if dataset.m > model.m:
-        raise DataError(
-            f"test labels go up to {dataset.m} but the model has {model.m} classes"
-        )
+    return evaluate_models([model], dataset, specs, eps)[0]
+
+
+def evaluate_models(
+    models: list[ClassifierModel],
+    dataset: LabeledDataset,
+    specs: list[ShapeSpec] | None = None,
+    eps: float | None = None,
+) -> list[MetricsReport]:
+    """The :func:`evaluate_model` report of each model on one dataset.
+
+    The eps-interior mask depends on the test points only, so it is
+    computed once for all models.
+    """
+    for model in models:
+        if dataset.m > model.m:
+            raise DataError(
+                f"test labels go up to {dataset.m} but the model has {model.m} classes"
+            )
+    mask = None
+    if specs is not None and eps is not None:
+        mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
+    return [_report(model, dataset, mask) for model in models]
+
+
+def _report(model, dataset, mask):
     predicted = classify_batch(model, dataset.points)
     confusion, rejected = confusion_matrix(dataset.labels, predicted, model.m)
     totals = confusion.sum(axis=1) + rejected
@@ -73,8 +95,7 @@ def evaluate_model(
         confusion=confusion,
         rejected_per_class=rejected,
     )
-    if specs is not None and eps is not None:
-        mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
+    if mask is not None:
         report.n_eps_interior = int(mask.sum())
         if report.n_eps_interior > 0:
             hits = predicted[mask] == dataset.labels[mask]

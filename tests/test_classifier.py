@@ -24,18 +24,25 @@ from cfkit import (
     eval_joint_inverse,
     eval_monomials_batch,
     fit,
+    fit_degrees,
     gen_shapes,
     joint_cf,
     joint_moment_matrix,
     make_theta,
     sandwich_check,
+    save_model,
     scores,
     scores_batch,
     tensor_cf,
     variety_cf,
 )
 from cfkit.christoffel import inverse_scores
-from conftest import chunk_crossing_queries, random_joint_dataset, separated_points
+from conftest import (
+    THREE_SHAPES,
+    chunk_crossing_queries,
+    random_joint_dataset,
+    separated_points,
+)
 
 
 def hand_dataset():
@@ -145,6 +152,48 @@ class TestFit:
         model = fit(data, degree=2)
         assert model.train_score_floor.shape == (3,)
         assert np.all(model.train_score_floor > 0)
+
+
+class TestFitDegrees:
+    """Every degree of a list from one basis evaluation and Gram per class."""
+
+    def test_each_entry_matches_its_own_fit(self):
+        data = gen_shapes(THREE_SHAPES, 700, seed=5)
+        queries = chunk_crossing_queries()
+        models = fit_degrees(data, [8, 2, 5, 2])
+        assert [model.degree for model in models] == [8, 2, 5, 2]
+        for model in models:
+            alone = fit(data, degree=model.degree)
+            np.testing.assert_array_equal(model.transform.center, alone.transform.center)
+            np.testing.assert_array_equal(model.transform.scale, alone.transform.scale)
+            assert [ev.rank for ev in model.evaluators] == [
+                ev.rank for ev in alone.evaluators
+            ]
+            assert model.evaluators[0].basis == alone.evaluators[0].basis
+            shared, separate = scores_batch(model, queries), scores_batch(alone, queries)
+            np.testing.assert_array_equal(shared == 0, separate == 0)
+            np.testing.assert_allclose(shared, separate, rtol=1e-5, atol=0)
+            np.testing.assert_array_equal(
+                classify_batch(model, queries), classify_batch(alone, queries)
+            )
+            np.testing.assert_allclose(
+                model.train_score_floor, alone.train_score_floor, rtol=1e-5
+            )
+
+    def test_one_degree_is_the_fit(self, tmp_path):
+        data = gen_shapes(THREE_SHAPES, 300, seed=6)
+        for t in (3, 7):
+            save_model(fit_degrees(data, [t])[0], tmp_path / "list.cfm")
+            save_model(fit(data, degree=t), tmp_path / "fit.cfm")
+            assert (tmp_path / "list.cfm").read_bytes() == (
+                tmp_path / "fit.cfm"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("degrees", [[], [0], [3, 0]])
+    def test_rejects_empty_and_zero(self, degrees):
+        data = gen_shapes(THREE_SHAPES, 20, seed=7)
+        with pytest.raises(ValueError, match="degree"):
+            fit_degrees(data, degrees)
 
 
 class TestClassify:

@@ -5,7 +5,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from cfkit import cli, load_metadata, load_model, read_csv, scores_batch
+from cfkit import (
+    cli,
+    evaluate_model,
+    fit,
+    gen_shapes,
+    load_metadata,
+    load_model,
+    persist,
+    read_csv,
+    scores_batch,
+)
 from cfkit.errors import NumericalError
 from conftest import MALFORMED_HEADERS, MODEL_CUTS, reference_table, rewrite_header
 
@@ -246,6 +256,23 @@ class TestPredict:
             own_score = float(cells[header.index(f"score_{label}")])
             assert own_score > 0
 
+    def test_overflowing_row_is_off_range(self, tmp_path, spec_file):
+        data = tmp_path / "data.csv"
+        run("synth", spec_file, "--n", 200, "--seed", 3, "--out", data)
+        model = tmp_path / "model.cfm"
+        run("train", data, "--degree", 4, "--out", model)
+        rows = ["-2.0,0.0", "2.0,0.5", "0.3,-0.9"]
+        with_huge, without = tmp_path / "huge.csv", tmp_path / "plain.csv"
+        with_huge.write_text("x1,x2\n" + "\n".join(rows[:2] + ["1e300,0"] + rows[2:]) + "\n")
+        without.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+        # Warnings are errors in this suite, so an overflow warning fails here.
+        assert run("predict", model, with_huge, "--out", tmp_path / "a.csv") == 0
+        assert run("predict", model, without, "--out", tmp_path / "b.csv") == 0
+        a = (tmp_path / "a.csv").read_text().splitlines()
+        b = (tmp_path / "b.csv").read_text().splitlines()
+        assert a[3].split(",")[3:] == ["0.0", "0.0"]
+        assert a[:3] + a[4:] == b
+
 
 class TestEval:
     def test_high_accuracy_two_disks(self, tmp_path, spec_file, capsys):
@@ -277,6 +304,19 @@ class TestEval:
         empty = tmp_path / "empty.csv"
         empty.write_text("x1,x2,label\n")
         assert run("eval", model, empty) == 3
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_out_of_range_epsilon(self, tmp_path, monkeypatch, capsys, spec_file, epsilon):
+        def no_work(*args, **kwargs):
+            raise AssertionError("model loaded before the --epsilon check")
+
+        monkeypatch.setattr(persist, "load_model", no_work)
+        code = run(
+            "eval", tmp_path / "model.cfm", tmp_path / "test.csv",
+            "--shapes", spec_file, "--epsilon", epsilon,
+        )
+        assert code == 2
+        assert "--epsilon must be finite and at least 0" in capsys.readouterr().err
 
 
 class TestLevelset:
@@ -357,6 +397,22 @@ class TestLevelset:
         assert "bad bound" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_cells_are_off_range(self, tmp_path, disk_model, capsys):
+        out = tmp_path / "g.csv"
+        code = run(
+            "levelset", disk_model, "--bounds=-1e307:1e307,-1:1", "--grid-res", 3,
+            "--out", out,
+        )
+        assert code == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        far = np.abs(table[:, 0]) == 1e307
+        assert far.sum() == 6
+        assert np.all(table[far, 2:] == 0.0)
+        np.testing.assert_array_equal(
+            table[~far, 2:4], scores_batch(load_model(disk_model), table[~far, :2])
+        )
+        assert (table[~far, 2:4] > 0).all()
+
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_non_finite_gamma(self, tmp_path, capsys, disk_model, gamma):
         out = tmp_path / "g.csv"
@@ -431,6 +487,49 @@ class TestSweep:
             # drop the runtime column, the only permitted difference
             tables.append([",".join(r.split(",")[:5]) for r in rows])
         assert tables[0] == tables[1]
+
+    def test_matches_per_cell_reference(self, tmp_path, spec_file):
+        specs = cli.read_shape_specs(spec_file)
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", spec_file, "--n-list", "40,90", "--t-list", "4,2,4",
+            "--seeds", "3,1", "--test-n", 60, "--epsilon", 0.2, "--out", out,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        expected = []
+        for n in (40, 90):
+            for t in (4, 2, 4):
+                for seed in (3, 1):
+                    model = fit(gen_shapes(specs, n, seed), degree=t)
+                    test = gen_shapes(specs, 60, seed + 999983)
+                    report = evaluate_model(model, test, specs=specs, eps=0.2)
+                    expected.append(
+                        [str(n), str(t), str(seed), repr(report.accuracy),
+                         repr(report.eps_interior_accuracy), ""]
+                    )
+        assert [row[:5] + row[6:] for row in rows] == expected
+        # A (N, seed) group shares one wall time, split evenly over its cells.
+        runtimes = {}
+        for row in rows:
+            runtimes.setdefault((row[0], row[2]), set()).add(row[5])
+        assert all(len(values) == 1 for values in runtimes.values())
+
+    def test_shared_error_fills_the_group(self, tmp_path):
+        spec = tmp_path / "gap.spec"
+        spec.write_text(
+            "class=1 kind=disk center=-2,0 radius=1\n"
+            "class=3 kind=disk center=2,0 radius=1\n"
+        )
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", spec, "--n-list", "20", "--t-list", "2,3",
+            "--seeds", "0", "--test-n", 20, "--out", out,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["20", "2", "0"], ["20", "3", "0"]]
+        assert all(row[3:5] == ["", ""] and row[6] == "class 2 has no points" for row in rows)
 
     def test_empty_n_list_usage_error(self, tmp_path, spec_file):
         assert run(

@@ -8,9 +8,12 @@ from cfkit import (
     ShapeSpec,
     confusion_matrix,
     evaluate_model,
+    evaluate_models,
     fit,
+    fit_degrees,
     gen_shapes,
     render_report,
+    scores_batch,
 )
 
 TWO_DISKS = [
@@ -81,3 +84,21 @@ class TestEvaluateModel:
         model = fit(train, degree=2)
         with pytest.raises(DataError):
             evaluate_model(model, extra)
+
+
+class TestEvaluateModels:
+    def test_matches_per_model_reports(self):
+        train = gen_shapes(TWO_DISKS, 60, seed=5)
+        test = gen_shapes(TWO_DISKS, 150, seed=6)
+        models = fit_degrees(train, [3, 1, 6])
+        best = scores_batch(models[1], test.points).max(axis=1)
+        models[1].reject_threshold = float(np.median(best))  # rejects half the rows
+        for specs, eps in ((TWO_DISKS, 0.2), (None, None)):
+            reports = evaluate_models(models, test, specs=specs, eps=eps)
+            assert len(reports) == len(models)
+            for model, report in zip(models, reports):
+                alone = evaluate_model(model, test, specs=specs, eps=eps)
+                assert vars(report).keys() == vars(alone).keys()
+                for key, value in vars(alone).items():
+                    np.testing.assert_array_equal(getattr(report, key), value, err_msg=key)
+        assert reports[1].rejected_per_class.sum() > 0
