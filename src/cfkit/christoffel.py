@@ -38,6 +38,8 @@ from .multiindex import MonomialBasis, eval_monomials_batch
 # Relative projection residual above which a query point is declared
 # outside the retained eigenspace.
 OFF_RANGE_TOL = 1e-8
+# Value p^T M p / mass at or below which variational_eval reports 0.
+VARIATIONAL_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -180,11 +182,11 @@ def inverse_scores_from_values(ev: ChristoffelEvaluator, values) -> np.ndarray:
 
 
 def cf_from_inverse(q: np.ndarray) -> np.ndarray:
-    """Christoffel function values 1/q, with 0 where q is ``inf``."""
-    out = np.zeros_like(q)
-    finite = np.isfinite(q)
-    out[finite] = 1.0 / q[finite]
-    return out
+    """Christoffel function values 1/q; IEEE division maps ``inf`` to 0.0.
+
+    q is never 0 (v(x) has a constant entry) or nan (see :func:`inverse_scores`).
+    """
+    return 1.0 / q
 
 
 def inverse_scores(evaluators, points) -> np.ndarray:
@@ -228,45 +230,42 @@ def eval_cf_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
     return cf_from_inverse(eval_cf_inverse_batch(ev, points))
 
 
+def as_row(x, length: int) -> np.ndarray:
+    """The one conversion of a single query point, to a (1, length) float64 array.
+
+    A 0-d input is one coordinate; any shape other than (length,) raises ValueError.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        x = x[None]
+    if x.ndim != 1 or x.shape[0] != length:
+        raise ValueError(f"query point must have length {length}, got shape {x.shape}")
+    return x[None, :]
+
+
 def eval_cf(ev: ChristoffelEvaluator, x) -> float:
     """Christoffel function value at a single point."""
-    return float(eval_cf_batch(ev, _as_row(ev, x))[0])
+    return float(eval_cf_batch(ev, as_row(x, ev.basis.nvars))[0])
 
 
 def eval_cf_inverse(ev: ChristoffelEvaluator, x) -> float:
     """Inverse score at a single point; ``inf`` marks an off-range point."""
-    return float(eval_cf_inverse_batch(ev, _as_row(ev, x))[0])
+    return float(eval_cf_inverse_batch(ev, as_row(x, ev.basis.nvars))[0])
 
 
-def _as_row(ev, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x[None]
-    if x.ndim != 1 or x.shape[0] != ev.basis.nvars:
-        raise ValueError(
-            f"query point must have length {ev.basis.nvars}, got shape {x.shape}"
-        )
-    return x[None, :]
-
-
-def variational_eval(
-    M: MomentMatrix, x, off_range_tol: float = 1e-10
-) -> tuple[float, np.ndarray]:
+def variational_eval(M: MomentMatrix, x) -> tuple[float, np.ndarray]:
     """Solve min{p^T M p : p(x) = 1} by a dense stationarity solve.
 
     Returns ``(value, coefficients)`` where the coefficients are expressed
     in the basis of ``M`` and satisfy p(x) = 1.  For a point where the
     infimum is 0 the value is exactly 0.0 and the coefficients certify it:
-    p^T M p <= off_range_tol * mass while p(x) = 1.
+    p^T M p <= VARIATIONAL_ZERO_TOL * mass while p(x) = 1.
 
     This is an independent path from :func:`eval_cf`: it solves the
     bordered system (2M p = nu * v, v^T p = 1) with a least-squares
     factorization instead of reusing the thresholded eigenpairs.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x[None]
-    v = eval_monomials_batch(M.basis, x[None, :])[0]
+    v = eval_monomials_batch(M.basis, as_row(x, M.basis.nvars))[0]
     s = M.size
     K = np.zeros((s + 1, s + 1))
     K[:s, :s] = 2.0 * M.entries
@@ -283,8 +282,7 @@ def variational_eval(
         )
     p = p / p_at_x
     value = float(p @ M.entries @ p)
-    value = max(value, 0.0)
-    if value <= off_range_tol * M.mass:
+    if value <= VARIATIONAL_ZERO_TOL * M.mass:
         return 0.0, p
     return value, p
 

@@ -23,9 +23,9 @@ import numpy as np
 from .christoffel import (
     ChristoffelEvaluator,
     ThresholdPolicy,
+    as_row,
     build_evaluator,
     cf_from_inverse,
-    eval_cf_batch,
     eval_cf_inverse_batch,
     inverse_scores,
     inverse_scores_from_values,
@@ -201,25 +201,26 @@ def fit_degrees(
     ]
 
 
-def scores_batch(model: ClassifierModel, points) -> np.ndarray:
-    """Per-class Christoffel function values, shape (n_points, m).
-
-    Each query is evaluated in the basis once for all classes, in row
-    chunks of bounded size.
-    """
+def _inverse_scores(model: ClassifierModel, points) -> np.ndarray:
+    """Per-class inverse scores of raw queries, shape (n_points, m): the one
+    place they are checked and mapped through the model's transform."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != model.n:
         raise ValueError(
             f"queries must be a 2-D array with {model.n} columns, "
             f"got shape {pts.shape}"
         )
-    scaled = model.transform.forward(pts)
-    return cf_from_inverse(inverse_scores(model.evaluators, scaled))
+    return inverse_scores(model.evaluators, model.transform.forward(pts))
+
+
+def scores_batch(model: ClassifierModel, points) -> np.ndarray:
+    """Per-class Christoffel function values, shape (n_points, m)."""
+    return cf_from_inverse(_inverse_scores(model, points))
 
 
 def scores(model: ClassifierModel, x) -> np.ndarray:
     """Score vector (L_1(x), ..., L_m(x)) at a single point."""
-    return scores_batch(model, np.asarray(x, float)[None, :])[0]
+    return scores_batch(model, as_row(x, model.n))[0]
 
 
 def predict_batch(model: ClassifierModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +243,7 @@ def classify_batch(model: ClassifierModel, points) -> np.ndarray:
 
 
 def classify(model: ClassifierModel, x) -> int:
-    return int(classify_batch(model, np.asarray(x, float)[None, :])[0])
+    return int(classify_batch(model, as_row(x, model.n))[0])
 
 
 def joint_cf(model: ClassifierModel, x, y: float) -> float:
@@ -253,11 +254,10 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     weights are exactly one and zero there and zero-weight terms are
     skipped, so off-support classes cannot poison the sum.
     """
-    scaled = model.transform.forward(np.asarray(x, dtype=np.float64)[None, :])
-    q = inverse_scores(model.evaluators, scaled)[0]
+    q = _inverse_scores(model, as_row(x, model.n))[0]
     weights = make_theta(model.m).eval_all(y) ** 2
     used = weights != 0.0
-    return float(cf_from_inverse(np.array([weights[used] @ q[used]]))[0])
+    return float(cf_from_inverse(weights[used] @ q[used]))
 
 
 def variety_cf(
@@ -284,13 +284,13 @@ def tensor_cf(
 
 def eval_joint(ev: ChristoffelEvaluator, x, y: float) -> float:
     """Christoffel function of a joint evaluator at the pair (x, y)."""
-    z = np.append(np.asarray(x, dtype=np.float64), float(y))
-    return float(eval_cf_batch(ev, z[None, :])[0])
+    return float(cf_from_inverse(eval_joint_inverse(ev, x, y)))
 
 
 def eval_joint_inverse(ev: ChristoffelEvaluator, x, y: float) -> float:
-    z = np.append(np.asarray(x, dtype=np.float64), float(y))
-    return float(eval_cf_inverse_batch(ev, z[None, :])[0])
+    """Inverse score of a joint evaluator at the pair (x, y); x has ``n`` coordinates."""
+    z = np.hstack([as_row(x, ev.basis.n), [[float(y)]]])
+    return float(eval_cf_inverse_batch(ev, z)[0])
 
 
 @dataclass

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .moments import LabeledDataset
+from .moments import LabeledDataset, row_blocks
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,19 @@ class ShapeSpec:
                 raise DataError("box corners must be ordered (low <= high)")
         else:
             raise DataError(f"unknown shape kind {self.kind!r}")
+        # In Python floats, which overflow to inf silently.  A non-finite
+        # coordinate or radius makes some width inf or nan too.
+        if self.kind == "box":
+            extent = zip(map(float, self.low), map(float, self.high))
+        else:
+            extent = ((float(c) - self._reach, float(c) + self._reach) for c in self.center)
+        if not all(math.isfinite(hi - lo) for lo, hi in extent):
+            raise DataError("shape coordinates, radii and bounding-box widths must be finite")
+
+    @property
+    def _reach(self) -> float:
+        """The outer radius of a disk or annulus."""
+        return float(self.radius if self.kind == "disk" else self.outer)
 
     @property
     def dim(self) -> int:
@@ -82,8 +95,7 @@ class ShapeSpec:
         if self.kind == "box":
             return np.asarray(self.low, float), np.asarray(self.high, float)
         c = np.asarray(self.center, float)
-        r = self.radius if self.kind == "disk" else self.outer
-        return c - r, c + r
+        return c - self._reach, c + self._reach
 
     def contains(self, points) -> np.ndarray:
         """Boolean mask of the rows of ``points`` inside the closed shape."""
@@ -91,7 +103,7 @@ class ShapeSpec:
         if self.kind == "box":
             lo, hi = self.bounding_box()
             return np.all((pts >= lo) & (pts <= hi), axis=1)
-        d = np.linalg.norm(pts - np.asarray(self.center, float), axis=1)
+        d = self._center_distance(pts)
         if self.kind == "disk":
             return d <= self.radius
         return (d >= self.inner) & (d <= self.outer)
@@ -108,21 +120,39 @@ class ShapeSpec:
             lo, hi = self.bounding_box()
             per_axis = np.minimum(np.abs(pts - lo), np.abs(hi - pts))
             return per_axis.min(axis=1)
-        d = np.linalg.norm(pts - np.asarray(self.center, float), axis=1)
+        d = self._center_distance(pts)
         if self.kind == "disk":
             return np.abs(self.radius - d)
         return np.minimum(np.abs(d - self.inner), np.abs(self.outer - d))
 
+    def _center_distance(self, pts) -> np.ndarray:
+        """Distance of each row to the center.  Past a reach of 2**500 the
+        offsets are divided by a power of two first, so their squares do not
+        overflow; that is exact, and a unit of 1 leaves the bits of smaller
+        shapes as they are."""
+        unit = 2.0 ** max(0, math.frexp(self._reach)[1] - 500)
+        offsets = pts - np.asarray(self.center, float)
+        offsets /= unit
+        distance = np.linalg.norm(offsets, axis=1)
+        distance *= unit
+        return distance
+
     def volume(self) -> float:
-        """n-dimensional volume, used to reject zero-area sampling regions."""
+        """n-dimensional volume, used to reject zero-area sampling regions.
+
+        ``inf`` when it overflows.
+        """
         if self.kind == "box":
             lo, hi = self.bounding_box()
-            return float(np.prod(hi - lo))
+            return math.prod((hi - lo).tolist())
         n = self.dim
         unit_ball = np.pi ** (n / 2) / math.gamma(n / 2 + 1)
-        if self.kind == "disk":
-            return float(unit_ball * self.radius**n)
-        return float(unit_ball * (self.outer**n - self.inner**n))
+        try:
+            if self.kind == "disk":
+                return float(unit_ball * self.radius**n)
+            return float(unit_ball * (self.outer**n - self.inner**n))
+        except OverflowError:
+            return math.inf
 
 
 def gen_shapes(
@@ -265,19 +295,15 @@ def train_test_split(
     return train, test
 
 
-# Rows formatted per write; bounds the text held in memory at once.
-_TABLE_CHUNK = 4096
-
-
 def write_table(path, header, *blocks) -> None:
     """Write a CSV table: the ``header`` row, then the rows of ``blocks`` side by side.
 
     Each block is a 1-D column or a 2-D array of columns, all with the
     same number of rows.  Float columns are written as shortest
     round-trip ``repr``, integer and bool columns as integers; the file
-    is ASCII with ``\n`` line endings.  Rows are formatted and written in
-    chunks of ``_TABLE_CHUNK``, each distinct value of a chunk's column
-    formatted once.
+    is ASCII with ``\n`` line endings.  Rows are formatted and written per
+    ``moments.row_blocks`` block, which bounds the text held in memory, each
+    distinct value of a block's column formatted once.
     """
     columns = []
     for block in blocks:
@@ -290,12 +316,8 @@ def write_table(path, header, *blocks) -> None:
         raise ValueError("table blocks must have the same number of rows")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _TABLE_CHUNK):
-            cells = [
-                _format_column(column)
-                for c in columns
-                for column in c[start : start + _TABLE_CHUNK].T
-            ]
+        for block in row_blocks(n_rows):
+            cells = [_format_column(column) for c in columns for column in c[block].T]
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

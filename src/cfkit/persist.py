@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -83,8 +84,8 @@ def load_model(path) -> ClassifierModel:
 
 
 def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
-    """The model a header describes; a missing key or ill-typed value raises
-    KeyError, TypeError or ValueError."""
+    """The model a header describes; a missing key or an ill-typed or
+    out-of-range value raises KeyError, TypeError or ValueError."""
     n, m, degree = header["n"], header["m"], header["degree"]
     if not all(type(v) is int and v > 0 for v in (n, m, degree)):
         raise TypeError("n, m and degree must be positive integers")
@@ -110,6 +111,10 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         expected = (basis.size, eigenvalues.size)
         if eigenvalues.ndim != 1 or eigenvectors.shape != expected:
             raise ValueError("eigenvector shape does not match the basis")
+        if not (_positive(eigenvalues) and np.isfinite(eigenvectors).all()):
+            raise ValueError("eigenvalues must be finite and > 0, eigenvectors finite")
+        if not _positive(info["mass"]):
+            raise ValueError("class mass must be finite and > 0")
         evaluators.append(
             ChristoffelEvaluator(
                 basis=basis,
@@ -128,7 +133,13 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         raise ValueError("transform shape does not match n")
     if floor.shape != (m,):
         raise ValueError("score floor shape does not match m")
+    if not (np.isfinite(transform.center).all() and _positive(np.abs(transform.scale))):
+        raise ValueError("transform must be finite with nonzero scales")
+    if not (np.isfinite(floor).all() and (floor >= 0).all()):
+        raise ValueError("score floor must be finite and >= 0")
     reject = header["reject_threshold"]
+    if reject is not None and not math.isfinite(reject):
+        raise ValueError("reject threshold must be finite")
     return ClassifierModel(
         m=m,
         degree=degree,
@@ -139,6 +150,12 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         reject_threshold=None if reject is None else float(reject),
         train_score_floor=floor,
     )
+
+
+def _positive(values) -> bool:
+    """Whether every entry of ``values`` is finite and > 0."""
+    values = np.asarray(values, dtype=np.float64)
+    return bool(np.all((values > 0) & (values < np.inf)))
 
 
 def load_metadata(path) -> dict:

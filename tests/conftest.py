@@ -88,6 +88,18 @@ def rewrite_header(path, edit):
     )
 
 
+def set_model_float(path, name, value):
+    """Overwrite the first float of the payload array ``name`` of a model file."""
+    raw = bytearray(path.read_bytes())
+    start = len(b"CFKIT-MODEL 1\n") + 8
+    (length,) = struct.unpack("<Q", raw[start - 8 : start])
+    header = json.loads(raw[start : start + length])
+    (entry,) = [a for a in header["arrays"] if a["name"] == name]
+    at = start + length + entry["offset"]
+    raw[at : at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+
+
 def reference_table(header, *blocks):
     """CSV bytes formatted cell by cell: floats as ``repr``, the rest as ints."""
     blocks = [np.asarray(b).reshape(len(b), -1) for b in blocks]

@@ -222,6 +222,20 @@ class TestClassify:
         np.testing.assert_array_equal(sc[:, 0], sc[:, 1])
         assert np.all(classify_batch(model, np.linspace(-2, 2, 9)[:, None]) == 1)
 
+    def test_scalar_point_on_one_dimensional_model(self):
+        model = fit(hand_dataset(), degree=1)
+        np.testing.assert_array_equal(scores(model, 0.5), scores(model, [0.5]))
+        assert classify(model, 0.5) == classify(model, [0.5])
+        assert classify(model, np.float64(3.0)) == 2
+
+    @pytest.mark.parametrize("x", [[0.5, 0.5], [[0.5]], []])
+    def test_point_of_wrong_shape(self, x):
+        model = fit(hand_dataset(), degree=1)
+        with pytest.raises(ValueError, match="query point must have length 1"):
+            scores(model, x)
+        with pytest.raises(ValueError, match="query point must have length 1"):
+            classify(model, x)
+
     def test_scores_nonnegative(self, rng):
         data = random_joint_dataset(rng, 2, 3, [15, 15, 15])
         model = fit(data, degree=2)
@@ -314,6 +328,26 @@ class TestJointFormulas:
             sc = scores(model, x)
             for j in range(1, 4):
                 assert joint_cf(model, x, float(j)) == sc[j - 1]
+
+    @pytest.mark.parametrize("x", [[-2.0], [0.1, 0.2, 0.3], -2.0])
+    def test_point_of_wrong_length(self, rng, x):
+        model = fit(random_joint_dataset(rng, 2, 2, [12, 12]), degree=2)
+        with pytest.raises(ValueError, match="query point must have length 2"):
+            joint_cf(model, x, 1.0)
+
+    def test_eval_joint_checks_the_x_part(self, rng):
+        data = random_joint_dataset(rng, 2, 2, [12, 12])
+        ev = tensor_cf(data, 2)
+        x = data.points[0]
+        assert eval_joint(ev, x, 1.0) == eval_cf_batch(ev, np.append(x, 1.0)[None, :])[0]
+        assert eval_joint_inverse(ev, x, 2.0) == eval_cf_inverse_batch(
+            ev, np.append(x, 2.0)[None, :]
+        )[0]
+        for bad in ([0.1], [[0.1, 0.2]], [0.1, 0.2, 1.0]):
+            with pytest.raises(ValueError, match="query point must have length 2"):
+                eval_joint(ev, bad, 1.0)
+            with pytest.raises(ValueError, match="query point must have length 2"):
+                eval_joint_inverse(ev, bad, 1.0)
 
     def test_half_integer_combination(self, rng):
         data = random_joint_dataset(rng, 1, 2, [10, 10])

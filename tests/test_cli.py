@@ -17,7 +17,13 @@ from cfkit import (
     scores_batch,
 )
 from cfkit.errors import NumericalError
-from conftest import MALFORMED_HEADERS, MODEL_CUTS, reference_table, rewrite_header
+from conftest import (
+    MALFORMED_HEADERS,
+    MODEL_CUTS,
+    reference_table,
+    rewrite_header,
+    set_model_float,
+)
 
 TWO_DISK_SPEC = """\
 # two well separated disks
@@ -72,6 +78,35 @@ class TestSynth:
         spec = tmp_path / "bad.spec"
         spec.write_text("class=1 kind=disk center=0,0\n")  # radius missing
         assert run("synth", spec, "--n", 10, "--seed", 0, "--out", tmp_path / "x.csv") == 3
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "kind=disk center=0,0 radius=nan",
+            "kind=disk center=0,0 radius=inf",
+            "kind=disk center=0,0 radius=1e308",
+            "kind=disk center=nan,0 radius=1",
+            "kind=box low=0,0 high=1,inf",
+            "kind=box low=-1e308,0 high=1e308,1",
+            "kind=annulus center=0,0 inner=1 outer=inf",
+        ],
+    )
+    def test_non_finite_extent(self, tmp_path, capsys, shape):
+        spec = tmp_path / "huge.spec"
+        spec.write_text(f"class=1 kind=disk center=-2,0 radius=1\nclass=2 {shape}\n")
+        out = tmp_path / "x.csv"
+        assert run("synth", spec, "--n", 10, "--seed", 0, "--out", out) == 3
+        assert f"{spec}: line 2: shape coordinates, radii" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_finite_radius(self, tmp_path):
+        spec = tmp_path / "huge.spec"
+        spec.write_text("class=1 kind=disk center=0,0 radius=1e200\n")
+        out = tmp_path / "x.csv"
+        assert run("synth", spec, "--n", 50, "--seed", 0, "--out", out) == 0
+        data = read_csv(out)
+        assert data.n_points == 50
+        assert np.all(np.hypot(*data.points.T) <= 1e200)
 
 
 class TestTrain:
@@ -203,6 +238,65 @@ class TestPredict:
         queries.write_text("x1\n0.0\n")
         assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
         assert f"{hand_model}: malformed model header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("eigenvalues_1", -1.0),
+            ("eigenvalues_2", 0.0),
+            ("eigenvalues_1", np.nan),
+            ("eigenvalues_1", np.inf),
+            ("eigenvectors_2", np.nan),
+            ("eigenvectors_1", -np.inf),
+            ("transform_center", np.nan),
+            ("transform_center", np.inf),
+            ("transform_scale", np.nan),
+            ("transform_scale", np.inf),
+            ("transform_scale", 0.0),
+            ("train_score_floor", np.nan),
+            ("train_score_floor", np.inf),
+            ("train_score_floor", -1.0),
+        ],
+    )
+    def test_out_of_range_model_array(self, tmp_path, hand_model, capsys, name, value):
+        set_model_float(hand_model, name, value)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n3.0\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{hand_model}: malformed model header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"mass": 0.0},
+            {"mass": -1.0},
+            {"mass": float("nan")},
+            {"mass": float("inf")},
+            {"reject_threshold": float("nan")},
+            {"reject_threshold": float("-inf")},
+        ],
+        ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()),
+    )
+    def test_out_of_range_header_number(self, tmp_path, hand_model, capsys, edit):
+        def patch(header):
+            if "mass" in edit:
+                header["classes"][0]["mass"] = edit["mass"]
+            else:
+                header["reject_threshold"] = edit["reject_threshold"]
+            return header
+
+        rewrite_header(hand_model, patch)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{hand_model}: malformed model header" in capsys.readouterr().err
+
+    def test_edge_values_load(self, tmp_path, hand_model):
+        set_model_float(hand_model, "train_score_floor", 0.0)
+        rewrite_header(hand_model, lambda h: {**h, "reject_threshold": -1.0})
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 0
 
     def test_non_finite_query(self, tmp_path, hand_model, capsys):
         queries = tmp_path / "queries.csv"
@@ -530,6 +624,18 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[:3] for row in rows] == [["20", "2", "0"], ["20", "3", "0"]]
         assert all(row[3:5] == ["", ""] and row[6] == "class 2 has no points" for row in rows)
+
+    def test_non_finite_spec_fails_the_run(self, tmp_path, capsys):
+        spec = tmp_path / "inf.spec"
+        spec.write_text("class=1 kind=disk center=0,0 radius=inf\n")
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", spec, "--n-list", "20", "--t-list", "2",
+            "--seeds", "0", "--test-n", 20, "--out", out,
+        )
+        assert code == 3
+        assert f"{spec}: line 1: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_n_list_usage_error(self, tmp_path, spec_file):
         assert run(

@@ -22,6 +22,7 @@ from cfkit import (
 )
 from cfkit import datasets
 from cfkit.datasets import _read_rows, write_table
+from cfkit.moments import EVAL_CHUNK
 from conftest import reference_table
 
 DISK = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1.0)
@@ -52,6 +53,42 @@ class TestShapeSpec:
         assert ring.volume() == pytest.approx(3 * np.pi)
         box = ShapeSpec(kind="box", label=1, low=(0.0, 0.0), high=(2.0, 3.0))
         assert box.volume() == pytest.approx(6.0)
+
+    def test_volume_overflows_to_inf(self):
+        disk = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e200)
+        assert disk.volume() == np.inf
+        ring = ShapeSpec(kind="annulus", label=1, center=(0.0,) * 3, inner=1e150, outer=1e200)
+        assert ring.volume() == np.inf
+        box = ShapeSpec(kind="box", label=1, low=(0.0, 0.0), high=(1e200, 1e200))
+        assert box.volume() == np.inf
+
+    def test_flat_box_constructs(self):
+        flat = ShapeSpec(kind="box", label=1, low=(0.0, 1.0), high=(1.0, 1.0))
+        assert flat.volume() == 0.0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "disk", "center": (0.0, 0.0), "radius": np.nan},
+            {"kind": "disk", "center": (0.0, np.inf), "radius": 1.0},
+            {"kind": "disk", "center": (1e308, 0.0), "radius": 1e308},
+            {"kind": "annulus", "center": (0.0,), "inner": 1.0, "outer": np.inf},
+            {"kind": "box", "low": (np.nan, 0.0), "high": (1.0, 1.0)},
+            {"kind": "box", "low": (-np.inf,), "high": (np.inf,)},
+            {"kind": "box", "low": (np.inf,), "high": (np.inf,)},
+        ],
+    )
+    def test_non_finite_extent_rejected(self, fields):
+        with pytest.raises(DataError, match="must be finite"):
+            ShapeSpec(label=1, **fields)
+
+    def test_huge_radius_distances_do_not_overflow(self):
+        disk = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e200)
+        pts = np.array([[6e199, 8e199], [1e200, 1e200], [0.0, 0.0]])
+        np.testing.assert_array_equal(disk.contains(pts), [True, False, True])
+        np.testing.assert_allclose(
+            disk.boundary_distance(pts), [0.0, (2**0.5 - 1) * 1e200, 1e200], atol=1e185
+        )
 
     def test_ball_volume_3d(self):
         ball = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0, 0.0), radius=2.0)
@@ -411,7 +448,7 @@ class TestWriteTable:
         assert path.read_bytes() == reference_table(["a", "b"], mixed, sparse)
 
     def test_values_repeat_across_chunk_boundary(self, tmp_path):
-        chunk = datasets._TABLE_CHUNK
+        chunk = EVAL_CHUNK
         rows = 2 * chunk + 7
         # a grid axis: each value held for 100 rows, straddling each boundary
         axis = np.repeat(np.linspace(-1.0, 1.0, rows // 100 + 1), 100)[:rows]
