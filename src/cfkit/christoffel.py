@@ -27,6 +27,7 @@ columns hold the projection of v(x) off the retained eigenspace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.mode not in ("rel", "tikhonov"):
             raise ValueError(f"unknown threshold mode {self.mode!r}")
-        if self.value < 0:
-            raise ValueError("threshold value must be nonnegative")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"threshold value must be finite and >= 0, got {self.value!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "ThresholdPolicy":

@@ -15,6 +15,7 @@ pointwise ordering that relates them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -155,6 +156,8 @@ def fit_degrees(
         raise ValueError("degrees must not be empty")
     if min(degrees) < 1:
         raise ValueError("degree must be at least 1")
+    if reject_threshold is not None and not math.isfinite(reject_threshold):
+        raise ValueError("reject threshold must be finite")
     if policy is None:
         policy = ThresholdPolicy()
     if scale:

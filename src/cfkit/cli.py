@@ -8,9 +8,12 @@ skipped.  Examples::
     class=2 kind=annulus center=2,0 inner=0.5 outer=1
     class=3 kind=box low=-1,-1 high=1,1
 
-Exit codes: 0 success, 2 usage error (also a bad value of a flag that holds
-for the whole run, checked before any work), 3 data error, 4 numerical
-failure.  Metrics are printed as a key-value text document; tables are CSV.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Each flag's value is converted and checked by the argparse ``type`` that
+declares it (see ``_flag``), so a bad one exits 2 before any file is read;
+the ``levelset`` limits that depend on the model's dimension are checked
+right after the model is loaded.  Metrics are printed as a key-value text
+document; tables are CSV.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .errors import DataError, NumericalError
 
 
 class UsageError(Exception):
-    """Bad flag values detected after argument parsing."""
+    """A bad flag value.  Each flag's argparse ``type`` raises it while the
+    command line is parsed; only ``levelset`` checks, once the model is read,
+    the flags whose limits depend on the model's dimension."""
 
 
 def read_shape_specs(path) -> list[datasets.ShapeSpec]:
@@ -71,31 +76,51 @@ def _spec_from_fields(fields):
     return datasets.ShapeSpec(kind=kind, label=label, **kwargs)
 
 
-def _parse_policy(text):
-    try:
-        return ThresholdPolicy.from_string(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _flag(flag, convert, ok=lambda value: True, need=""):
+    """The argparse ``type`` of ``flag``: ``convert`` the text, then require
+    ``ok`` of the value, which the message calls ``need``.  A ValueError from
+    ``convert`` or a value that fails ``ok`` is a UsageError naming the flag,
+    raised while the command line is parsed, before any command runs."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from None
+        if not ok(value):
+            raise UsageError(f"{flag} must be {need}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_int_list(text, flag):
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list") from None
+def _or_auto(convert):
+    """``convert``, except that the text ``auto`` becomes None."""
+    return lambda text: None if text == "auto" else convert(text)
+
+
+def _ints(text):
+    values = [int(v) for v in text.split(",") if v.strip()]
     if not values:
-        raise UsageError(f"{flag} must not be empty")
+        raise ValueError("expects a comma-separated integer list")
     return values
 
 
-def _require_finite(value, flag):
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite, got {value!r}")
+def _bounds(text):
+    """``lo:hi,lo:hi,...`` as (lo, hi) pairs, each with lo < hi and a finite width."""
+    bounds = []
+    for part in text.split(","):
+        try:
+            lo, hi = map(float, part.split(":"))
+        except ValueError:
+            lo = hi = math.nan
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"bad bound {part!r}")
+        bounds.append((lo, hi))
+    return bounds
 
 
-def _require_epsilon(value):
-    if not 0 <= value < math.inf:
-        raise UsageError(f"--epsilon must be finite and at least 0, got {value!r}")
+_EPSILON = _flag("--epsilon", float, lambda v: 0 <= v < math.inf, "finite and at least 0")
 
 
 def cmd_synth(args):
@@ -107,21 +132,11 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    if args.reject_gamma is not None:
-        _require_finite(args.reject_gamma, "--reject-gamma")
     data = datasets.read_csv(args.data)
-    policy = _parse_policy(args.threshold_policy)
-    if args.degree == "auto":
-        degree = None
-    else:
-        try:
-            degree = int(args.degree)
-        except ValueError:
-            raise UsageError("--degree expects an integer or 'auto'") from None
     model = classifier.fit(
         data,
-        degree=degree,
-        policy=policy,
+        degree=args.degree,
+        policy=args.threshold_policy,
         scale=not args.no_scale,
         class_prior_weights=args.class_prior_weights,
         reject_threshold=args.reject_gamma,
@@ -172,7 +187,6 @@ def _score_scale(model, normalize):
 
 
 def cmd_eval(args):
-    _require_epsilon(args.epsilon)
     model = persist.load_model(args.model)
     data = datasets.read_csv(args.data)
     if data.n != model.n:
@@ -201,24 +215,18 @@ def cmd_levelset(args):
     model = persist.load_model(args.model)
     if model.n > 3:
         raise DataError("levelset grids support at most 3 dimensions")
-    bounds = _parse_bounds(args.bounds, model.n)
-    if not 2 <= args.grid_res <= 2000:
-        raise UsageError("--grid-res must be between 2 and 2000")
+    if len(args.bounds) != model.n:
+        raise UsageError(f"--bounds must give {model.n} ranges like lo:hi,lo:hi")
     if args.grid_res**model.n > _MAX_GRID_CELLS:
         raise UsageError(
             f"--grid-res {args.grid_res} gives {args.grid_res**model.n} cells in "
             f"{model.n} dimensions; at most {_MAX_GRID_CELLS} are allowed"
         )
-    if args.gamma == "auto":
+    if args.gamma is None:
         gamma = np.asarray(model.train_score_floor, dtype=np.float64)
     else:
-        try:
-            value = float(args.gamma)
-        except ValueError:
-            raise UsageError("--gamma expects a float or 'auto'") from None
-        _require_finite(value, "--gamma")
-        gamma = np.full(model.m, value)
-    axes = [np.linspace(lo, hi, args.grid_res) for lo, hi in bounds]
+        gamma = np.full(model.m, args.gamma)
+    axes = [np.linspace(lo, hi, args.grid_res) for lo, hi in args.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     sc = classifier.scores_batch(model, grid)
@@ -242,32 +250,8 @@ def cmd_levelset(args):
     return 0
 
 
-def _parse_bounds(text, n):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise UsageError(f"--bounds must give {n} ranges like lo:hi,lo:hi")
-    bounds = []
-    for part in parts:
-        lo, sep, hi = part.partition(":")
-        try:
-            lo, hi = float(lo), float(hi)
-        except ValueError:
-            raise UsageError(f"bad bound {part!r}") from None
-        if not sep or not lo < hi or not math.isfinite(hi - lo):
-            raise UsageError(f"bad bound {part!r}")
-        bounds.append((lo, hi))
-    return bounds
-
-
 def cmd_sweep(args):
-    n_list = _parse_int_list(args.n_list, "--n-list")
-    t_list = _parse_int_list(args.t_list, "--t-list")
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    for flag, values, low in (("--n-list", n_list, 1), ("--t-list", t_list, 1),
-                              ("--test-n", [args.test_n], 1), ("--seeds", seeds, 0)):
-        if min(values) < low:
-            raise UsageError(f"{flag} must be at least {low}")
-    _require_epsilon(args.epsilon)
+    n_list, t_list, seeds = args.n_list, args.t_list, args.seeds
     specs = read_shape_specs(args.spec)
     lines = ["n,t,seed,accuracy,eps_interior_accuracy,runtime_seconds,error"]
     for n_train in n_list:
@@ -321,21 +305,27 @@ def build_parser():
 
     p = sub.add_parser("synth", help="sample a labeled dataset from a shape spec")
     p.add_argument("spec", help="shape spec file")
-    p.add_argument("--n", type=int, required=True, help="points per listed shape")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_flag("--n", int, lambda v: v >= 1, "at least 1"),
+                   required=True, help="points per listed shape")
+    p.add_argument("--seed", type=_flag("--seed", int, lambda v: v >= 0, "at least 0"),
+                   default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit per-class evaluators and save a model")
     p.add_argument("data", help="labeled CSV")
-    p.add_argument("--degree", default="auto", help="polynomial degree or 'auto'")
+    p.add_argument("--degree", default="auto", help="polynomial degree or 'auto'",
+                   type=_flag("--degree", _or_auto(int), lambda v: v is None or v >= 1,
+                              "auto or at least 1"))
     p.add_argument("--threshold-policy", default=ThresholdPolicy().to_string(),
-                   help="rel:<float> or tikhonov:<float>")
+                   type=_flag("--threshold-policy", ThresholdPolicy.from_string),
+                   help="rel:<float> or tikhonov:<float>, the float finite and >= 0")
     p.add_argument("--class-prior-weights", action="store_true",
                    help="weight class measures by class frequency")
     p.add_argument("--no-scale", action="store_true",
                    help="skip rescaling inputs to the unit box")
-    p.add_argument("--reject-gamma", type=float, default=None,
+    p.add_argument("--reject-gamma", default=None,
+                   type=_flag("--reject-gamma", float, math.isfinite, "finite"),
                    help="reject queries whose best score is below this")
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the model metadata")
@@ -354,15 +344,20 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("data", help="labeled CSV")
     p.add_argument("--shapes", default=None, help="shape spec for interior accuracy")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_EPSILON, default=0.1)
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("levelset", help="score a grid and report overlaps")
     p.add_argument("model")
-    p.add_argument("--bounds", required=True, help="per-axis ranges lo:hi,lo:hi")
-    p.add_argument("--grid-res", type=int, default=64)
+    p.add_argument("--bounds", type=_flag("--bounds", _bounds), required=True,
+                   help="per-axis ranges lo:hi,lo:hi")
+    p.add_argument("--grid-res", default=64,
+                   type=_flag("--grid-res", int, lambda v: 2 <= v <= 2000,
+                              "between 2 and 2000"))
     p.add_argument("--gamma", default="auto",
+                   type=_flag("--gamma", _or_auto(float),
+                              lambda v: v is None or math.isfinite(v), "finite or auto"),
                    help="superlevel threshold, float or 'auto'")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
@@ -370,11 +365,15 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="factorial (N, t, seed) experiment")
     p.add_argument("spec", help="shape spec file")
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--t-list", required=True)
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--test-n", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--n-list", required=True,
+                   type=_flag("--n-list", _ints, lambda v: min(v) >= 1, "at least 1"))
+    p.add_argument("--t-list", required=True,
+                   type=_flag("--t-list", _ints, lambda v: min(v) >= 1, "at least 1"))
+    p.add_argument("--seeds", required=True,
+                   type=_flag("--seeds", _ints, lambda v: min(v) >= 0, "at least 0"))
+    p.add_argument("--test-n", default=1000,
+                   type=_flag("--test-n", int, lambda v: v >= 1, "at least 1"))
+    p.add_argument("--epsilon", type=_EPSILON, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -382,19 +381,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # LinAlgError subclasses ValueError, so it must be caught first.
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (DataError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

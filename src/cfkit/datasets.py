@@ -126,11 +126,12 @@ class ShapeSpec:
         return np.minimum(np.abs(d - self.inner), np.abs(self.outer - d))
 
     def _center_distance(self, pts) -> np.ndarray:
-        """Distance of each row to the center.  Past a reach of 2**500 the
-        offsets are divided by a power of two first, so their squares do not
-        overflow; that is exact, and a unit of 1 leaves the bits of smaller
-        shapes as they are."""
-        unit = 2.0 ** max(0, math.frexp(self._reach)[1] - 500)
+        """Distance of each row to the center.  Past a reach of 2**500, or
+        below 2**-500, the offsets are divided by a power of two first, so
+        their squares neither overflow nor underflow; that is exact, and a
+        unit of 1 leaves the bits of the shapes in between as they are."""
+        exponent = math.frexp(self._reach)[1]
+        unit = 2.0 ** (exponent - 500 if exponent > 500 else min(0, exponent + 500))
         offsets = pts - np.asarray(self.center, float)
         offsets /= unit
         distance = np.linalg.norm(offsets, axis=1)
@@ -138,10 +139,8 @@ class ShapeSpec:
         return distance
 
     def volume(self) -> float:
-        """n-dimensional volume, used to reject zero-area sampling regions.
-
-        ``inf`` when it overflows.
-        """
+        """n-dimensional volume; ``inf`` when it overflows and 0.0 when it
+        underflows."""
         if self.kind == "box":
             lo, hi = self.bounding_box()
             return math.prod((hi - lo).tolist())
@@ -175,7 +174,9 @@ def gen_shapes(
     blocks = []
     labels = []
     for spec in specs:
-        if spec.volume() <= 0.0:
+        # Disks and annuli have positive radii by construction (their volume
+        # can still underflow to 0); only a box can be flat.
+        if spec.kind == "box" and any(lo == hi for lo, hi in zip(spec.low, spec.high)):
             raise DataError(f"shape {spec.kind} for class {spec.label} has zero area")
         blocks.append(_rejection_sample(spec, n_per_class, rng))
         labels.append(np.full(n_per_class, spec.label, dtype=np.int64))

@@ -63,7 +63,9 @@ def save_model(model: ClassifierModel, path, metadata: dict | None = None) -> No
         "arrays": manifest,
         "metadata": metadata or {},
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    header_bytes = json.dumps(
+        header, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode()
     with open(path, "wb") as handle:
         handle.write(_MAGIC)
         handle.write(struct.pack("<Q", len(header_bytes)))

@@ -64,6 +64,7 @@ MALFORMED_HEADERS = {
     "n-text": lambda h: {**h, "n": "two"},
     "degree-zero": lambda h: {**h, "degree": 0},
     "policy-null": lambda h: {**h, "policy": None},
+    "policy-nan": lambda h: {**h, "policy": {**h["policy"], "value": float("nan")}},
     "class-missing": lambda h: {**h, "classes": h["classes"][:-1]},
     "reject-text": lambda h: {**h, "reject_threshold": "high"},
     "eigenvectors-flat": lambda h: {

@@ -78,6 +78,11 @@ class TestBuildEvaluator:
         with pytest.raises(ValueError):
             ThresholdPolicy(mode="chop", value=0.1)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_policy_value_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ThresholdPolicy.from_string(f"rel:{value}")
+
     def test_tikhonov_keeps_full_rank(self):
         M = empirical_moment_matrix(uniform_measure([0.25]), enumerate_basis(1, 2))
         ev = build_evaluator(M, ThresholdPolicy("tikhonov", 1e-8))

@@ -195,6 +195,12 @@ class TestFitDegrees:
         with pytest.raises(ValueError, match="degree"):
             fit_degrees(data, degrees)
 
+    @pytest.mark.parametrize("reject", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_reject_threshold(self, reject):
+        data = gen_shapes(THREE_SHAPES, 20, seed=7)
+        with pytest.raises(ValueError, match="reject threshold must be finite"):
+            fit_degrees(data, [2], reject_threshold=reject)
+
 
 class TestClassify:
     def test_hand_model_labels(self):
@@ -244,7 +250,7 @@ class TestClassify:
 
     def test_reject_option(self, rng):
         data = random_joint_dataset(rng, 1, 2, [20, 20])
-        model = fit(data, degree=2, reject_threshold=np.inf)
+        model = fit(data, degree=2, reject_threshold=1e300)
         assert classify(model, [0.0]) == REJECT_LABEL
         model.reject_threshold = None
         assert classify(model, [0.0]) in (1, 2)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cfkit import (
+    classifier,
     cli,
+    datasets,
     evaluate_model,
     fit,
     gen_shapes,
@@ -730,6 +732,62 @@ def test_pinned_output_bytes(tmp_path, spec_file):
     assert digests == PINNED_DIGESTS
 
 
+# Every flag value the parser rejects: (subcommand and its positional
+# arguments, the bad flag and value).  The positional paths do not exist.
+BAD_FLAGS = [
+    (["synth", "missing.spec"], ["--n", "0"]),
+    (["synth", "missing.spec"], ["--n", "abc"]),
+    (["synth", "missing.spec"], ["--seed", "-1"]),
+    (["train", "missing.csv"], ["--degree", "0"]),
+    (["train", "missing.csv"], ["--degree", "abc"]),
+    (["train", "missing.csv"], ["--threshold-policy", "foo"]),
+    (["train", "missing.csv"], ["--threshold-policy", "rel:nan"]),
+    (["train", "missing.csv"], ["--threshold-policy", "tikhonov:inf"]),
+    (["train", "missing.csv"], ["--threshold-policy", "rel:-1"]),
+    (["train", "missing.csv"], ["--reject-gamma", "nan"]),
+    (["eval", "missing.cfm", "missing.csv"], ["--epsilon", "nan"]),
+    (["eval", "missing.cfm", "missing.csv"], ["--epsilon", "-1"]),
+    (["levelset", "missing.cfm"], ["--grid-res", "1"]),
+    (["levelset", "missing.cfm"], ["--grid-res", "2001"]),
+    (["levelset", "missing.cfm"], ["--gamma", "nan"]),
+    (["levelset", "missing.cfm"], ["--gamma", "abc"]),
+    (["levelset", "missing.cfm"], ["--bounds=1:-1,-1:1"]),
+    (["levelset", "missing.cfm"], ["--bounds=-1:1,nope"]),
+    (["sweep", "missing.spec"], ["--n-list", "0"]),
+    (["sweep", "missing.spec"], ["--n-list", ","]),
+    (["sweep", "missing.spec"], ["--t-list", "2,0"]),
+    (["sweep", "missing.spec"], ["--seeds", "0,-1"]),
+    (["sweep", "missing.spec"], ["--test-n", "0"]),
+    (["sweep", "missing.spec"], ["--epsilon", "inf"]),
+]
+# Valid values of the flags each subcommand requires; a bad value given after
+# one of them is still converted, and rejected, by the parser.
+REQUIRED_FLAGS = {
+    "synth": ["--n", "5"],
+    "levelset": ["--bounds=-1:1,-1:1"],
+    "sweep": ["--n-list", "20", "--t-list", "2", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad", BAD_FLAGS, ids=[f"{c[0]} {' '.join(b)}" for c, b in BAD_FLAGS]
+)
+def test_bad_flag_exits_two_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, command, bad
+):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input file was read before the flags were checked")
+
+    monkeypatch.setattr(datasets, "read_ascii_lines", no_input)
+    monkeypatch.setattr(persist, "load_model", no_input)
+    monkeypatch.chdir(tmp_path)
+    required = REQUIRED_FLAGS.get(command[0], [])
+    assert run(*command, *required, *bad, "--out", "out.file") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad[0].partition("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -745,4 +803,12 @@ class TestExitCodes:
 
         # build_parser resolves command handlers through the module globals
         monkeypatch.setattr(cli, "cmd_train", explode)
+        assert cli.main(["train", str(data), "--out", str(tmp_path / "m.cfm")]) == 4
+        monkeypatch.undo()
+
+        # LinAlgError subclasses ValueError, which on its own exits 3.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(classifier, "fit", no_convergence)
         assert cli.main(["train", str(data), "--out", str(tmp_path / "m.cfm")]) == 4

@@ -90,6 +90,15 @@ class TestShapeSpec:
             disk.boundary_distance(pts), [0.0, (2**0.5 - 1) * 1e200, 1e200], atol=1e185
         )
 
+    def test_tiny_radius_distances_do_not_underflow(self):
+        disk = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e-170)
+        pts = np.array([[6e-171, 8e-171], [0.9e-170, 0.9e-170], [0.0, 0.0]])
+        np.testing.assert_array_equal(disk.contains(pts), [True, False, True])
+        np.testing.assert_allclose(
+            disk.boundary_distance(pts), [0.0, (0.9 * 2**0.5 - 1) * 1e-170, 1e-170],
+            rtol=0, atol=1e-185,
+        )
+
     def test_ball_volume_3d(self):
         ball = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0, 0.0), radius=2.0)
         assert ball.volume() == pytest.approx(4.0 / 3.0 * np.pi * 8.0)
@@ -116,6 +125,14 @@ class TestGenShapes:
         write_csv(a, path_a)
         write_csv(b, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_tiny_disk_samples_inside_its_radius(self):
+        tiny = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e-170)
+        assert tiny.volume() == 0.0
+        data = gen_shapes([tiny], 500, seed=4)
+        scaled = data.points / 1e-170
+        assert np.all(np.hypot(*scaled.T) <= 1.0 + 1e-15)
+        assert np.any(np.hypot(*scaled.T) > 0.9)
 
     def test_zero_area_rejected(self):
         flat = ShapeSpec(kind="box", label=1, low=(0.0, 0.0), high=(1.0, 0.0))

@@ -97,6 +97,14 @@ class TestDeterminism:
         save_model(model, second, metadata={"seed": 1})
         assert first.read_bytes() == second.read_bytes()
 
+    def test_non_finite_header_value_not_written(self, rng, tmp_path):
+        model = fitted_model(rng)
+        model.reject_threshold = float("nan")
+        path = tmp_path / "model.cfm"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(model, path)
+        assert not path.exists()
+
 
 class TestErrors:
     def test_rejects_foreign_file(self, tmp_path):
