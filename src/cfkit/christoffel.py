@@ -16,8 +16,11 @@ leaves the retained eigenspace get L = 0, exactly as the variational form
 dictates (some polynomial vanishing on the sample is nonzero at x, so the
 infimum is 0).  The inverse score q = 1/L is reported as ``inf`` there.
 
-Scoring is one matrix product per block of ``EVAL_CHUNK`` query rows
-(the row blocks of ``moments``, which assembly uses too).  The evaluator
+Scoring is one matrix product per evaluator and block of ``EVAL_CHUNK``
+query rows (the row blocks of ``moments``, which assembly uses too).
+Evaluators at several degrees of one basis kind share the block's basis
+values: a degree-t basis is the leading block of every larger one, so
+each evaluator reads the leading columns of its size.  The evaluator
 holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
 inverse square roots of their eigenvalues, then an orthonormal basis D of
 the complement of their span, derived from E alone.  With Y = V W, the
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .moments import EVAL_CHUNK, MomentMatrix, row_blocks
+from .moments import EVAL_CHUNK, MomentMatrix, block_workspace, row_blocks
 from .multiindex import MonomialBasis, eval_monomials_batch
 
 # Relative projection residual above which a query point is declared
@@ -158,27 +161,31 @@ def build_evaluator(
     )
 
 
-def inverse_scores_from_values(ev: ChristoffelEvaluator, values) -> np.ndarray:
-    """Inverse scores from basis values: row i of ``values`` is v(x_i).
+def inverse_scores_from_values(
+    ev: ChristoffelEvaluator, values, norm=None, out=None
+) -> np.ndarray:
+    """Inverse scores from one block of basis values: row i of ``values`` is v(x_i).
 
-    This is the scoring kernel behind :func:`inverse_scores`, for
-    callers that already hold the basis values of their points.  A row
-    is off range, and scores ``inf``, when the norm of its projection
-    onto the discarded directions exceeds ``OFF_RANGE_TOL`` times the
-    norm of v(x).
+    This is the scoring kernel behind :func:`inverse_scores`, one matrix
+    product over all rows given, written into the leading rows and columns
+    of the row-major array ``out`` if one is given.  ``values`` may hold
+    more columns than the evaluator's basis; its leading ``ev.basis.size``
+    are used.  A row is off range, and scores ``inf``, when the squared
+    norm of its projection onto the discarded directions exceeds
+    ``OFF_RANGE_TOL**2`` times ``norm``, the squared norm of v(x),
+    computed here unless given.
     """
-    rank = ev.rank
-    q = np.empty(values.shape[0])
-    for block in row_blocks(values.shape[0]):
-        V = values[block]
-        Y = V @ ev.scoring
-        kept, off = Y[:, :rank], Y[:, rank:]
-        q[block] = np.einsum("ij,ij->i", kept, kept)
-        if rank < ev.basis.size:
-            # Squared norms on both sides: no square root per row.
-            resid = np.einsum("ij,ij->i", off, off)
+    V = values[:, : ev.basis.size]
+    if out is not None:
+        out = out[: V.shape[0], : V.shape[1]]
+    Y = np.matmul(V, ev.scoring, out=out)
+    kept, off = Y[:, : ev.rank], Y[:, ev.rank :]
+    q = np.einsum("ij,ij->i", kept, kept)
+    if ev.rank < ev.basis.size:
+        # Squared norms on both sides: no square root per row.
+        if norm is None:
             norm = np.einsum("ij,ij->i", V, V)
-            q[block][resid > OFF_RANGE_TOL**2 * norm] = np.inf
+        q[np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norm] = np.inf
     return q
 
 
@@ -193,28 +200,52 @@ def cf_from_inverse(q: np.ndarray) -> np.ndarray:
 def inverse_scores(evaluators, points) -> np.ndarray:
     """Inverse scores of each row of ``points`` under each evaluator.
 
-    Returns shape (rows, len(evaluators)).  The evaluators share one
-    basis, which is evaluated once per row chunk; the chunk is then
-    scored against every evaluator.  Points off an evaluator's retained
-    eigenspace get ``inf`` in its column.  So do points so far out that
-    their basis values or scores overflow: a q that is not finite is
-    reported as ``inf``, without floating-point warnings, and every other
-    row is computed exactly as it would be without them.
+    Returns shape (rows, len(evaluators)).  Each evaluator's basis must be
+    a leading block of the largest one, as the bases of one kind at several
+    degrees are; any other basis raises ValueError.  The largest basis is
+    evaluated once per row chunk, and each evaluator scores the chunk's
+    leading columns of its own basis size.  Points off an evaluator's
+    retained eigenspace get ``inf`` in its column.  So do points so far
+    out that their basis values or scores overflow: a q that is not
+    finite is reported as ``inf``, without floating-point warnings, and
+    every other row is computed exactly as it would be without them.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("expected a 2-D array of query points")
-    basis = evaluators[0].basis
+    basis = max((ev.basis for ev in evaluators), key=lambda b: b.size)
+    for ev in evaluators:
+        if not _leads(ev.basis, basis):
+            raise ValueError("evaluator bases must be leading blocks of the largest one")
     q = np.empty((pts.shape[0], len(evaluators)))
+    # The block's basis values (column-major) and the one product alive at
+    # a time (row-major), for every block.
+    work = block_workspace(pts.shape[0], basis.size)
+    product = work[1].reshape(-1, basis.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for block in row_blocks(pts.shape[0]):
-            values = eval_monomials_batch(basis, pts[block])
+            rows = block.stop - block.start
+            values = eval_monomials_batch(basis, pts[block], out=work[0, :, :rows].T)
+            # ||v||^2 per basis size, for the evaluators that need it.
+            norms = {}
             for k, ev in enumerate(evaluators):
-                q[block, k] = inverse_scores_from_values(ev, values)
+                s = ev.basis.size
+                if ev.rank < s and s not in norms:
+                    norms[s] = np.einsum("ij,ij->i", values[:, :s], values[:, :s])
+                q[block, k] = inverse_scores_from_values(ev, values, norms.get(s), product)
             # Per block, so the mask is no larger than the other working arrays.
             chunk = q[block]
             chunk[~np.isfinite(chunk)] = np.inf
     return q
+
+
+def _leads(head: MonomialBasis, basis: MonomialBasis) -> bool:
+    """Whether ``head`` is the leading block of ``basis``."""
+    return (
+        (head.n, head.kind, head.m) == (basis.n, basis.kind, basis.m)
+        and head.size <= basis.size
+        and np.array_equal(head.exponents, basis.exponents[: head.size])
+    )
 
 
 def eval_cf_inverse_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:

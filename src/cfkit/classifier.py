@@ -29,22 +29,20 @@ from .christoffel import (
     cf_from_inverse,
     eval_cf_inverse_batch,
     inverse_scores,
-    inverse_scores_from_values,
 )
 from .datasets import AffineTransform, scale_to_unit_box
 from .moments import (
     LabeledDataset,
     MomentMatrix,
     class_split,
+    empirical_moment_matrix,
     joint_moment_matrix,
-    moment_matrix_from_values,
 )
 from .multiindex import (
     basis_dimension,
     enumerate_basis,
     enumerate_tensor_basis,
     enumerate_variety_basis,
-    eval_monomials_batch,
 )
 
 REJECT_LABEL = 0
@@ -137,19 +135,21 @@ def fit_degrees(
     class_prior_weights: bool = False,
     reject_threshold: float | None = None,
 ) -> list[ClassifierModel]:
-    """One model per entry of ``degrees``, all fitted from one pass over the data.
+    """One model per entry of ``degrees``, all fitted from two passes over the data.
 
-    The rescaling, the class split and, per class, the basis values and
-    the moment matrix at ``max(degrees)`` are computed once.  The basis is
-    graded, so the degree-t basis is the leading ``s_t`` entries of it,
-    the degree-t moment matrix is the leading ``s_t x s_t`` block, and the
-    training values at degree t are the leading ``s_t`` columns.  Each
-    entry gets its own evaluators and 5% training score floor from those;
-    duplicate and unsorted entries are kept in order.  A one-degree call
-    is the same arithmetic as a fit at that degree.  The blocks can differ
-    from a separate assembly at degree t in the last bits (the matrix
-    product sums in a shape-dependent order).  Other arguments are as in
-    :func:`fit`.
+    The rescaling and the class split are computed once, and per class the
+    moment matrix at ``max(degrees)``, assembled one row block at a time
+    (see :func:`empirical_moment_matrix`), so memory does not grow with
+    the class size.  The basis is graded, so the degree-t basis is the
+    leading ``s_t`` entries of it and the degree-t moment matrix is the
+    leading ``s_t x s_t`` block.  Each entry gets its own evaluators from
+    those, and its 5% training score floor from one :func:`inverse_scores`
+    pass over the class's points, which scores every entry's evaluator on
+    the leading columns of the same basis values.  Duplicate and unsorted
+    entries are kept in order.  A one-degree call is the same arithmetic
+    as a fit at that degree.  The blocks can differ from a separate
+    assembly at degree t in the last bits (the matrix product sums in a
+    shape-dependent order).  Other arguments are as in :func:`fit`.
     """
     degrees = list(degrees)
     if not degrees:
@@ -177,18 +177,16 @@ def fit_degrees(
                 f"class {label}: all points identical, evaluator has rank 1",
                 stacklevel=2,
             )
-        values = eval_monomials_batch(top, measure.points)
-        gram = moment_matrix_from_values(top, values, measure.weights, measure.mass)
-        for k, t in enumerate(degrees):
+        gram = empirical_moment_matrix(measure, top).entries
+        fitted = []
+        for t in degrees:
             s = bases[t].size
-            block = MomentMatrix(bases[t], gram.entries[:s, :s], measure.mass)
-            ev = build_evaluator(block, policy)
+            block = MomentMatrix(bases[t], gram[:s, :s], measure.mass)
+            fitted.append(build_evaluator(block, policy))
+        own = cf_from_inverse(inverse_scores(fitted, measure.points))
+        for k, ev in enumerate(fitted):
             evaluators[k].append(ev)
-            own = cf_from_inverse(inverse_scores_from_values(ev, values[:, :s]))
-            floors[k][label - 1] = np.percentile(own, 5.0)
-        # Free this class's basis values before the next class's are
-        # built, so at most one (points, size) array is alive.
-        del values
+            floors[k][label - 1] = np.percentile(own[:, k], 5.0)
     return [
         ClassifierModel(
             m=dataset.m,
@@ -204,21 +202,34 @@ def fit_degrees(
     ]
 
 
-def _inverse_scores(model: ClassifierModel, points) -> np.ndarray:
-    """Per-class inverse scores of raw queries, shape (n_points, m): the one
-    place they are checked and mapped through the model's transform."""
+def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
+    """Per-class inverse scores of raw queries under each model, each of shape
+    (n_points, m): the one place queries are checked and mapped through a
+    model's transform.  Models that share a transform object share one
+    :func:`inverse_scores` pass, which evaluates each row chunk in the basis
+    once for all of them."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != model.n:
-        raise ValueError(
-            f"queries must be a 2-D array with {model.n} columns, "
-            f"got shape {pts.shape}"
-        )
-    return inverse_scores(model.evaluators, model.transform.forward(pts))
+    for model in models:
+        if pts.ndim != 2 or pts.shape[1] != model.n:
+            raise ValueError(
+                f"queries must be a 2-D array with {model.n} columns, "
+                f"got shape {pts.shape}"
+            )
+    groups = {}
+    for model in models:
+        groups.setdefault(id(model.transform), []).append(model)
+    out = {}
+    for group in groups.values():
+        evaluators = [ev for model in group for ev in model.evaluators]
+        q = inverse_scores(evaluators, group[0].transform.forward(pts))
+        ends = np.cumsum([model.m for model in group])
+        out.update(zip(map(id, group), np.split(q, ends[:-1], axis=1)))
+    return [out[id(model)] for model in models]
 
 
 def scores_batch(model: ClassifierModel, points) -> np.ndarray:
     """Per-class Christoffel function values, shape (n_points, m)."""
-    return cf_from_inverse(_inverse_scores(model, points))
+    return cf_from_inverse(_inverse_scores([model], points)[0])
 
 
 def scores(model: ClassifierModel, x) -> np.ndarray:
@@ -226,23 +237,35 @@ def scores(model: ClassifierModel, x) -> np.ndarray:
     return scores_batch(model, as_row(x, model.n))[0]
 
 
-def predict_batch(model: ClassifierModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax labels and the score matrix for each row of ``points``.
-
-    The smallest class index wins ties.  With a reject threshold
-    configured, rows whose best score falls below it get
-    ``REJECT_LABEL`` (0).
-    """
-    sc = scores_batch(model, points)
+def _labels(model: ClassifierModel, sc: np.ndarray) -> np.ndarray:
+    """Argmax labels of a score matrix: the smallest class index wins ties.
+    With a reject threshold configured, rows whose best score falls below it
+    get ``REJECT_LABEL`` (0)."""
     labels = np.argmax(sc, axis=1) + 1
     if model.reject_threshold is not None:
         labels[sc.max(axis=1) < model.reject_threshold] = REJECT_LABEL
-    return labels, sc
+    return labels
+
+
+def predict_batch(model: ClassifierModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (see :func:`_labels`) and the score matrix for each row of ``points``."""
+    sc = scores_batch(model, points)
+    return _labels(model, sc), sc
+
+
+def classify_batches(models: list[ClassifierModel], points) -> list[np.ndarray]:
+    """The labels of :func:`predict_batch` under each model, for the same points.
+
+    Models that share a transform, as the models of one :func:`fit_degrees`
+    call do, are scored in one pass over the points.
+    """
+    qs = _inverse_scores(models, points)
+    return [_labels(model, cf_from_inverse(q)) for model, q in zip(models, qs)]
 
 
 def classify_batch(model: ClassifierModel, points) -> np.ndarray:
-    """The labels of :func:`predict_batch`."""
-    return predict_batch(model, points)[0]
+    """The labels of :func:`predict_batch`; the one-model case of :func:`classify_batches`."""
+    return classify_batches([model], points)[0]
 
 
 def classify(model: ClassifierModel, x) -> int:
@@ -257,7 +280,7 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     weights are exactly one and zero there and zero-weight terms are
     skipped, so off-support classes cannot poison the sum.
     """
-    q = _inverse_scores(model, as_row(x, model.n))[0]
+    q = _inverse_scores([model], as_row(x, model.n))[0][0]
     weights = make_theta(model.m).eval_all(y) ** 2
     used = weights != 0.0
     return float(cf_from_inverse(weights[used] @ q[used]))

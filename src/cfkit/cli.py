@@ -8,7 +8,8 @@ skipped.  Examples::
     class=2 kind=annulus center=2,0 inner=0.5 outer=1
     class=3 kind=box low=-1,-1 high=1,1
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error (a file that cannot be
+opened is reported as ``<filename>: <strerror>``), 4 numerical failure.
 Each flag's value is converted and checked by the argparse ``type`` that
 declares it (see ``_flag``), so a bad one exits 2 before any file is read;
 the ``levelset`` limits that depend on the model's dimension are checked
@@ -38,12 +39,8 @@ class UsageError(Exception):
 
 def read_shape_specs(path) -> list[datasets.ShapeSpec]:
     """Parse a shape spec file, reporting the line of any malformed entry."""
-    try:
-        lines = datasets.read_ascii_lines(path)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror}") from None
     specs = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(datasets.read_ascii_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -391,7 +388,11 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, ValueError, OSError) as exc:
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 3
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ClassifierModel, classify_batch
+from .classifier import ClassifierModel, classify_batches
 from .datasets import ShapeSpec, epsilon_interior_mask
 from .errors import DataError
 from .moments import LabeledDataset
@@ -68,7 +68,10 @@ def evaluate_models(
     """The :func:`evaluate_model` report of each model on one dataset.
 
     The eps-interior mask depends on the test points only, so it is
-    computed once for all models.
+    computed once for all models, and models that share a transform are
+    scored in one pass (see :func:`classifier.classify_batches`), so the
+    models of one ``fit_degrees`` call evaluate each test row in the basis
+    once.
     """
     for model in models:
         if dataset.m > model.m:
@@ -78,11 +81,13 @@ def evaluate_models(
     mask = None
     if specs is not None and eps is not None:
         mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
-    return [_report(model, dataset, mask) for model in models]
+    predicted = classify_batches(models, dataset.points)
+    return [
+        _report(model, labels, dataset, mask) for model, labels in zip(models, predicted)
+    ]
 
 
-def _report(model, dataset, mask):
-    predicted = classify_batch(model, dataset.points)
+def _report(model, predicted, dataset, mask):
     confusion, rejected = confusion_matrix(dataset.labels, predicted, model.m)
     totals = confusion.sum(axis=1) + rejected
     correct = np.diag(confusion)

@@ -3,8 +3,10 @@
 A moment matrix is the Gram matrix of a monomial basis under a discrete
 measure: M[a, b] = sum_i w_i * x_i^(a+b).  Assembly runs over the points
 in their stored order, in the ``row_blocks`` that query scoring uses too,
-combined with compensated summation, so the result does not depend on how
-work might be partitioned.
+evaluating the basis one block at a time, so its working memory does not
+grow with the number of points.  The block products are combined with
+compensated summation, so the result does not depend on how work might
+be partitioned.
 """
 
 from __future__ import annotations
@@ -24,6 +26,19 @@ def row_blocks(n_rows: int):
     """Consecutive slices of at most ``EVAL_CHUNK`` rows covering ``n_rows``."""
     for start in range(0, n_rows, EVAL_CHUNK):
         yield slice(start, min(start + EVAL_CHUNK, n_rows))
+
+
+def block_workspace(n_rows: int, size: int) -> np.ndarray:
+    """Room for two (rows, size) arrays of one block, shape (2, size, rows).
+
+    A loop over ``row_blocks(n_rows)`` allocates it once and writes every
+    block's working arrays into it.  One allocation per call, in place of
+    fresh arrays per block, also keeps glibc from returning the memory to
+    the system after each call: freeing a chunk this large raises its trim
+    threshold to twice the chunk, so the next call reuses the pages instead
+    of faulting them in again.
+    """
+    return np.empty((2, size, min(EVAL_CHUNK, n_rows)))
 
 
 @dataclass
@@ -147,13 +162,22 @@ def class_split(
     return out
 
 
-def _assemble_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted Gram values^T diag(w) values, blocked with Kahan compensation."""
-    s = values.shape[1]
+def _gram(basis: MonomialBasis, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted Gram sum_i w_i v(x_i) v(x_i)^T, one ``row_blocks`` block at a time.
+
+    The basis is evaluated per block into one :func:`block_workspace`, so
+    only one block of values is alive; the block products are summed with
+    Kahan compensation.
+    """
+    s = basis.size
     total = np.zeros((s, s))
     comp = np.zeros((s, s))
-    for block in row_blocks(values.shape[0]):
-        part = (values[block] * weights[block][:, None]).T @ values[block]
+    work = block_workspace(points.shape[0], s)
+    for block in row_blocks(points.shape[0]):
+        rows = block.stop - block.start
+        values = eval_monomials_batch(basis, points[block], out=work[0, :, :rows].T)
+        scaled = np.multiply(values, weights[block][:, None], out=work[1, :, :rows].T)
+        part = scaled.T @ values
         y = part - comp
         updated = total + y
         comp = (updated - total) - y
@@ -171,15 +195,8 @@ def empirical_moment_matrix(
         raise ValueError(
             f"basis dimension {basis.n} does not match point dimension {measure.n}"
         )
-    values = eval_monomials_batch(basis, measure.points)
-    return moment_matrix_from_values(basis, values, measure.weights, measure.mass)
-
-
-def moment_matrix_from_values(
-    basis: MonomialBasis, values: np.ndarray, weights: np.ndarray, mass: float
-) -> MomentMatrix:
-    """Moment matrix from the basis values at the atoms (row i is v(x_i))."""
-    return MomentMatrix(basis=basis, entries=_assemble_gram(values, weights), mass=mass)
+    entries = _gram(basis, measure.points, measure.weights)
+    return MomentMatrix(basis=basis, entries=entries, mass=measure.mass)
 
 
 def joint_moment_matrix(
@@ -221,5 +238,4 @@ def joint_moment_matrix(
         mass = float(dataset.m)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    values = eval_monomials_batch(basis, pairs)
-    return moment_matrix_from_values(basis, values, weights, mass)
+    return MomentMatrix(basis=basis, entries=_gram(basis, pairs, weights), mass=mass)

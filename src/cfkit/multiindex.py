@@ -190,12 +190,14 @@ def eval_monomials(basis: MonomialBasis, x) -> np.ndarray:
     return eval_monomials_batch(basis, x[None, :])[0]
 
 
-def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
+def eval_monomials_batch(basis: MonomialBasis, points, out=None) -> np.ndarray:
     """Evaluate the monomial vector at each row of ``points``.
 
     Returns an array of shape (len(points), basis.size).  Entry a is
     computed as v_a = v_parent * x_var (see :class:`MonomialBasis`), one
-    pass over the basis per batch of points.
+    pass over the basis per batch of points.  ``out``, if given, is the
+    float64 array of that shape to fill and return; column-major is the
+    layout the recurrence writes fastest, and the one it allocates.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != basis.nvars:
@@ -206,10 +208,12 @@ def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite coordinates")
     coords = np.ascontiguousarray(pts.T)
-    out = np.empty((basis.size, pts.shape[0]))
-    out[0] = 1.0
+    if out is None:
+        out = np.empty((basis.size, pts.shape[0])).T
+    columns = out.T
+    columns[0] = 1.0
     for i, (parent, var) in enumerate(
         zip(basis.parents[1:].tolist(), basis.variables[1:].tolist()), start=1
     ):
-        np.multiply(out[parent], coords[var], out=out[i])
-    return out.T
+        np.multiply(columns[parent], coords[var], out=columns[i])
+    return out

@@ -10,16 +10,19 @@ from cfkit import (
     build_evaluator,
     empirical_moment_matrix,
     enumerate_basis,
+    enumerate_variety_basis,
     eval_cf,
     eval_cf_batch,
     eval_cf_inverse,
     eval_cf_inverse_batch,
     eval_monomials_batch,
+    fit_degrees,
     orthonormal_polynomials,
     uniform_measure,
     variational_eval,
 )
-from cfkit.christoffel import OFF_RANGE_TOL, inverse_scores_from_values
+from cfkit.christoffel import OFF_RANGE_TOL, inverse_scores, inverse_scores_from_values
+from cfkit.multiindex import MonomialBasis
 from conftest import chunk_crossing_queries, random_measure
 
 
@@ -182,6 +185,44 @@ class TestScoringKernel:
             np.testing.assert_allclose(frame.T @ frame, np.eye(size), atol=1e-12)
             ranks.add(rank == size)
         assert ranks == {True, False}  # a full-rank evaluator has no D columns
+
+
+class TestNestedScoring:
+    """Evaluators whose bases are leading blocks of the largest share its
+    basis values, and score exactly as they do alone."""
+
+    def test_matches_separate_scoring(self, rank_deficient):
+        # The circle class is rank-deficient at every degree, so each
+        # degree's off-range test needs the norm of its own leading columns.
+        train, _ = rank_deficient
+        models = fit_degrees(train, [2, 4, 8])
+        queries = models[0].transform.forward(chunk_crossing_queries())
+        # Far out: off range or huge at every degree; then overflowing.
+        extra = [[40.0, -40.0], [1e200, 0.5], [0.5, -1e200]]
+        queries = np.vstack([queries, extra])
+        evaluators = [ev for model in models for ev in model.evaluators]
+        got = inverse_scores(evaluators, queries)
+        for k, ev in enumerate(evaluators):
+            np.testing.assert_array_equal(got[:, k], eval_cf_inverse_batch(ev, queries))
+        assert np.isfinite(got).any() and np.isinf(got[:-3]).any()
+        assert np.isinf(got[-2:]).all()
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            enumerate_basis(1, 4),
+            MonomialBasis(2, 1, "plain", None, np.array([[0, 0], [0, 1], [1, 0]])),
+            enumerate_variety_basis(2, 1, 2),
+        ],
+        ids=["other-n", "other-order", "other-kind"],
+    )
+    def test_rejects_basis_that_is_not_a_leading_block(self, other):
+        evaluators = [
+            build_evaluator(MomentMatrix(basis, np.eye(basis.size), 1.0))
+            for basis in (enumerate_basis(2, 2), other)
+        ]
+        with pytest.raises(ValueError, match="leading blocks"):
+            inverse_scores(evaluators, np.zeros((3, 2)))
 
 
 class TestVariationalEval:

@@ -1,5 +1,7 @@
 """Interpolation basis, fitting, argmax classification, and joint formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ from cfkit import (
     variety_cf,
 )
 from cfkit.christoffel import inverse_scores
+from cfkit.moments import EVAL_CHUNK
+from cfkit.multiindex import basis_dimension
 from conftest import (
     THREE_SHAPES,
     chunk_crossing_queries,
@@ -154,8 +158,21 @@ class TestFit:
         assert np.all(model.train_score_floor > 0)
 
 
+def traced_fit_peak(n_rows, degree):
+    """Peak bytes that tracemalloc (which sees numpy buffers) records while
+    one class of ``n_rows`` points is fitted."""
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n_rows, 2))
+    data = LabeledDataset(points, np.ones(n_rows, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        fit(data, degree=degree)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFitDegrees:
-    """Every degree of a list from one basis evaluation and Gram per class."""
+    """Every degree of a list from one Gram and one scoring pass per class."""
 
     def test_each_entry_matches_its_own_fit(self):
         data = gen_shapes(THREE_SHAPES, 700, seed=5)
@@ -188,6 +205,16 @@ class TestFitDegrees:
             assert (tmp_path / "list.cfm").read_bytes() == (
                 tmp_path / "fit.cfm"
             ).read_bytes()
+
+    def test_fit_memory_does_not_grow_with_rows(self):
+        """The basis is evaluated one row block at a time, so a class four
+        times larger raises the peak by its O(rows) arrays, far less than
+        the basis values of the extra rows would take."""
+        degree = 8
+        small = traced_fit_peak(3 * EVAL_CHUNK, degree)
+        large = traced_fit_peak(12 * EVAL_CHUNK, degree)
+        extra_values = 9 * EVAL_CHUNK * basis_dimension(2, degree) * 8
+        assert large - small < extra_values / 4
 
     @pytest.mark.parametrize("degrees", [[], [0], [3, 0]])
     def test_rejects_empty_and_zero(self, degrees):

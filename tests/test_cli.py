@@ -788,6 +788,33 @@ def test_bad_flag_exits_two_before_any_input_is_read(
     assert list(tmp_path.iterdir()) == []
 
 
+# Each subcommand with one input file that does not exist; the others exist.
+MISSING_INPUTS = [
+    ["synth", "missing.spec", "--n", "5"],
+    ["train", "missing.csv"],
+    ["predict", "missing.cfm", "data.csv"],
+    ["predict", "model.cfm", "missing.csv"],
+    ["eval", "missing.cfm", "data.csv"],
+    ["eval", "model.cfm", "missing.csv"],
+    ["eval", "model.cfm", "data.csv", "--shapes", "missing.spec"],
+    ["levelset", "missing.cfm", "--bounds=-1:1,-1:1"],
+    ["sweep", "missing.spec", "--n-list", "20", "--t-list", "2", "--seeds", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", MISSING_INPUTS, ids=" ".join)
+def test_missing_input_is_named_with_its_strerror(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "disks.spec").write_text(TWO_DISK_SPEC)
+    assert run("synth", "disks.spec", "--n", 20, "--seed", 1, "--out", "data.csv") == 0
+    assert run("train", "data.csv", "--degree", 2, "--out", "model.cfm") == 0
+    capsys.readouterr()
+    assert run(*argv, "--out", "out.file") == 3
+    (missing,) = [a for a in argv if a.startswith("missing")]
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert not (tmp_path / "out.file").exists()
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ import pytest
 from cfkit import (
     DataError,
     ShapeSpec,
+    christoffel,
     confusion_matrix,
     evaluate_model,
     evaluate_models,
@@ -15,6 +16,7 @@ from cfkit import (
     render_report,
     scores_batch,
 )
+from cfkit.moments import EVAL_CHUNK
 
 TWO_DISKS = [
     ShapeSpec(kind="disk", label=1, center=(-2.0, 0.0), radius=1.0),
@@ -102,3 +104,19 @@ class TestEvaluateModels:
                 for key, value in vars(alone).items():
                     np.testing.assert_array_equal(getattr(report, key), value, err_msg=key)
         assert reports[1].rejected_per_class.sum() > 0
+
+    def test_one_basis_evaluation_per_test_block(self, monkeypatch):
+        """The models of one fit_degrees call share their transform, so each
+        test row block is evaluated once, in the largest basis."""
+        models = fit_degrees(gen_shapes(TWO_DISKS, 200, seed=5), [2, 6, 4, 3])
+        test = gen_shapes(TWO_DISKS, EVAL_CHUNK // 2 + 10, seed=6)
+        evaluated = []
+        real = christoffel.eval_monomials_batch
+
+        def counted(basis, points, **kwargs):
+            evaluated.append((basis.t, len(points)))
+            return real(basis, points, **kwargs)
+
+        monkeypatch.setattr(christoffel, "eval_monomials_batch", counted)
+        evaluate_models(models, test)
+        assert evaluated == [(6, EVAL_CHUNK), (6, 20)]

@@ -12,10 +12,12 @@ from cfkit import (
     enumerate_basis,
     enumerate_tensor_basis,
     enumerate_variety_basis,
+    eval_monomials_batch,
     joint_moment_matrix,
     uniform_measure,
 )
-from conftest import random_measure
+from cfkit.moments import EVAL_CHUNK, row_blocks
+from conftest import random_joint_dataset, random_measure
 
 
 class TestLabeledDataset:
@@ -196,3 +198,46 @@ class TestJointMomentMatrix:
         data = LabeledDataset(rng.uniform(-1, 1, size=(6, 1)), [1, 1, 1, 2, 2, 2])
         with pytest.raises(ValueError):
             joint_moment_matrix(data, enumerate_tensor_basis(1, 2, 3))
+
+
+def full_array_gram(basis, points, weights):
+    """Reference assembly: the whole (rows, size) values array at once, its
+    row blocks summed with Kahan compensation in the same order."""
+    values = eval_monomials_batch(basis, points)
+    total = np.zeros((basis.size, basis.size))
+    comp = np.zeros_like(total)
+    for block in row_blocks(len(points)):
+        part = (values[block] * weights[block][:, None]).T @ values[block]
+        y = part - comp
+        updated = total + y
+        comp = (updated - total) - y
+        total = updated
+    return 0.5 * (total + total.T)
+
+
+class TestStreamedAssembly:
+    """Assembly evaluates the basis one row block at a time; the entries
+    equal, bit for bit, a sum over the full values array."""
+
+    ROWS = 2 * EVAL_CHUNK + 37
+
+    def test_empirical_matches_full_array(self, rng):
+        measure = random_measure(rng, 2, self.ROWS)
+        basis = enumerate_basis(2, 6)
+        M = empirical_moment_matrix(measure, basis)
+        expected = full_array_gram(basis, measure.points, measure.weights)
+        np.testing.assert_array_equal(M.entries, expected)
+
+    @pytest.mark.parametrize("weighting", ["uniform", "per_class"])
+    def test_joint_matches_full_array(self, rng, weighting):
+        data = random_joint_dataset(rng, 2, 3, [EVAL_CHUNK + 5, 32, EVAL_CHUNK])
+        assert data.n_points == self.ROWS
+        pairs = np.hstack([data.points, data.labels[:, None].astype(np.float64)])
+        counts = np.bincount(data.labels)
+        weights = {
+            "uniform": np.full(self.ROWS, 1.0 / self.ROWS),
+            "per_class": 1.0 / counts[data.labels],
+        }[weighting]
+        for basis in (enumerate_variety_basis(2, 4, 3), enumerate_tensor_basis(2, 3, 3)):
+            M = joint_moment_matrix(data, basis, weighting)
+            np.testing.assert_array_equal(M.entries, full_array_gram(basis, pairs, weights))
