@@ -127,14 +127,13 @@ class ChristoffelEvaluator:
 def build_evaluator(
     M: MomentMatrix, policy: ThresholdPolicy | None = None
 ) -> ChristoffelEvaluator:
-    """Factorize a moment matrix for fast Christoffel function evaluation."""
+    """Factorize a moment matrix for scoring; ``eigh`` reads its lower triangle."""
     if policy is None:
         policy = ThresholdPolicy()
     A = M.entries
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise NumericalError("moment matrix is not symmetric within tolerance")
-    A = 0.5 * (A + A.T)
 
     if policy.mode == "tikhonov":
         A = A + policy.value * np.eye(A.shape[0])

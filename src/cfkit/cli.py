@@ -49,10 +49,14 @@ def read_shape_specs(path) -> list[datasets.ShapeSpec]:
             key, sep, value = token.partition("=")
             if not sep:
                 raise DataError(f"{path}: line {lineno}: expected key=value, got {token!r}")
+            if key in fields:
+                raise DataError(f"{path}: line {lineno}: duplicate key {key!r}")
             fields[key] = value
         try:
             specs.append(_spec_from_fields(fields))
-        except (DataError, KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise DataError(f"{path}: line {lineno}: missing key {exc}") from None
+        except (DataError, ValueError) as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
     if not specs:
         raise DataError(f"{path}: no shapes defined")

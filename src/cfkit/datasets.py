@@ -210,6 +210,8 @@ def epsilon_interior_mask(points, specs, eps, labels=None) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, float))
     keep = np.zeros(pts.shape[0], dtype=bool)
     for spec in specs:
+        if spec.dim != pts.shape[1]:
+            raise DataError(f"shape is {spec.dim}-D but the points are {pts.shape[1]}-D")
         inside = spec.contains(pts) & (spec.boundary_distance(pts) > eps)
         if labels is not None:
             inside &= np.asarray(labels) == spec.label

@@ -4,9 +4,9 @@ A moment matrix is the Gram matrix of a monomial basis under a discrete
 measure: M[a, b] = sum_i w_i * x_i^(a+b).  Assembly runs over the points
 in their stored order, in the ``row_blocks`` that query scoring uses too,
 evaluating the basis one block at a time, so its working memory does not
-grow with the number of points.  The block products are combined with
-compensated summation, so the result does not depend on how work might
-be partitioned.
+grow with the number of points.  Each block adds its ``sqrt(w)``-scaled
+values times their own transpose (BLAS ``syrk``): the matrix is exactly
+symmetric, and its bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -54,7 +54,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # Checked before the int64 cast, which would truncate 1.5 to 1.
+        if not np.all((labels >= 1) & (labels < 2.0**63) & (labels == np.floor(labels))):
+            raise DataError("labels must be integers >= 1")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         if self.points.ndim != 2:
             raise DataError("points must be a 2-D array (n_points, n)")
         if self.points.shape[0] < 1:
@@ -63,8 +67,6 @@ class LabeledDataset:
             raise DataError("labels must be a vector with one entry per point")
         if not np.all(np.isfinite(self.points)):
             raise DataError("points contain non-finite coordinates")
-        if np.any(self.labels < 1):
-            raise DataError("labels must be integers >= 1")
         if self.m is None:
             self.m = int(self.labels.max())
         elif np.any(self.labels > self.m):
@@ -98,8 +100,10 @@ class EmpiricalMeasure:
             raise DataError("measure needs a nonempty 2-D point array")
         if self.weights.shape != (self.points.shape[0],):
             raise DataError("weights must be a vector with one entry per point")
-        if np.any(self.weights < 0):
-            raise DataError("weights must be nonnegative")
+        if not np.all(np.isfinite(self.points)):
+            raise DataError("points contain non-finite coordinates")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise DataError("weights must be finite and nonnegative")
         total = float(self.weights.sum())
         if abs(total - self.mass) > 1e-12 * max(abs(self.mass), 1.0):
             raise DataError(
@@ -146,43 +150,32 @@ def class_split(
     weight 1/N, so class j carries mass N_j / N.
     """
     out = []
-    total = dataset.n_points
     for label in range(1, dataset.m + 1):
         pts = dataset.class_points(label)
         if pts.shape[0] == 0:
             raise DataError(f"class {label} has no points")
         k = pts.shape[0]
-        if class_prior_weights:
-            measure = EmpiricalMeasure(
-                pts, np.full(k, 1.0 / total), mass=k / total
-            )
-        else:
-            measure = EmpiricalMeasure(pts, np.full(k, 1.0 / k), mass=1.0)
-        out.append(measure)
+        denominator = dataset.n_points if class_prior_weights else k
+        out.append(EmpiricalMeasure(pts, np.full(k, 1.0 / denominator), mass=k / denominator))
     return out
 
 
 def _gram(basis: MonomialBasis, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted Gram sum_i w_i v(x_i) v(x_i)^T, one ``row_blocks`` block at a time.
 
-    The basis is evaluated per block into one :func:`block_workspace`, so
-    only one block of values is alive; the block products are summed with
-    Kahan compensation.
+    Each block's values are scaled in place by ``sqrt(w_i)`` (weights are
+    checked finite and >= 0 by :class:`EmpiricalMeasure`), and their product
+    with their own transpose (BLAS ``syrk``) is added to the total.
     """
     s = basis.size
     total = np.zeros((s, s))
-    comp = np.zeros((s, s))
     work = block_workspace(points.shape[0], s)
     for block in row_blocks(points.shape[0]):
         rows = block.stop - block.start
         values = eval_monomials_batch(basis, points[block], out=work[0, :, :rows].T)
-        scaled = np.multiply(values, weights[block][:, None], out=work[1, :, :rows].T)
-        part = scaled.T @ values
-        y = part - comp
-        updated = total + y
-        comp = (updated - total) - y
-        total = updated
-    return 0.5 * (total + total.T)
+        values *= np.sqrt(weights[block])[:, None]
+        total += values.T @ values
+    return total
 
 
 def empirical_moment_matrix(

@@ -1,6 +1,10 @@
 """End-to-end command-line pipeline tests."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,23 @@ class TestSynth:
         spec = tmp_path / "bad.spec"
         spec.write_text("class=1 kind=disk center=0,0\n")  # radius missing
         assert run("synth", spec, "--n", 10, "--seed", 0, "--out", tmp_path / "x.csv") == 3
+
+    @pytest.mark.parametrize("key", ["kind", "class"])
+    def test_missing_key_named(self, tmp_path, capsys, key):
+        fields = {"class": "class=1", "kind": "kind=disk"}
+        del fields[key]
+        spec = tmp_path / "bad.spec"
+        spec.write_text(" ".join(fields.values()) + " center=0,0 radius=1\n")
+        assert run("synth", spec, "--n", 10, "--seed", 0, "--out", tmp_path / "x.csv") == 3
+        assert f"{spec}: line 1: missing key '{key}'" in capsys.readouterr().err
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "twice.spec"
+        spec.write_text("class=1 kind=disk center=0,0 radius=1 radius=2\n")
+        out = tmp_path / "x.csv"
+        assert run("synth", spec, "--n", 10, "--seed", 0, "--out", out) == 3
+        assert f"{spec}: line 1: duplicate key 'radius'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "shape",
@@ -401,6 +422,19 @@ class TestEval:
         empty.write_text("x1,x2,label\n")
         assert run("eval", model, empty) == 3
 
+    @pytest.mark.parametrize("center, dim", [("0", 1), ("0,0,0", 3)])
+    def test_shapes_of_another_dimension(self, tmp_path, spec_file, capsys, center, dim):
+        train = tmp_path / "train.csv"
+        run("synth", spec_file, "--n", 200, "--seed", 0, "--out", train)
+        model = tmp_path / "model.cfm"
+        run("train", train, "--degree", 2, "--out", model)
+        shapes = tmp_path / "shapes.spec"
+        shapes.write_text(f"class=1 kind=disk center={center} radius=1\n")
+        report = tmp_path / "report.txt"
+        assert run("eval", model, train, "--shapes", shapes, "--out", report) == 3
+        assert f"shape is {dim}-D but the points are 2-D" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
     def test_out_of_range_epsilon(self, tmp_path, monkeypatch, capsys, spec_file, epsilon):
         def no_work(*args, **kwargs):
@@ -702,10 +736,10 @@ def test_report_lines_parse_as_numbers(tmp_path, spec_file, capsys):
 PINNED_DIGESTS = {
     "train.csv": "4c364c89478918a02876d99a381e055dc743e83d06f54ece84cb9ccacc6e9a63",
     "test.csv": "a465941655e1a9b2e8c388acc4c7625f2539f099b599bcb2b0a665d318c5a31e",
-    "model.cfm": "84d5b7f619339e6b4eb437da0487d0a254a40513ae8de943bba76efd98906055",
-    "predict.csv": "818390c3d277c96976d2c3fa81162fb4ae3733b24c826582bdfb4a9f7760e6a4",
+    "model.cfm": "e866613404624ea19ae610aa9458117a8d61aa4f8f733d3bab65cc3c899d3c8a",
+    "predict.csv": "e3e02773955474f0eb3d053ec439bb56b98b4a16f50c05e9bf586c8c91228eeb",
     "report.txt": "592a28f065031777256c150b67cf69ab711d7255e7064d088dcb09c5b2f63a6b",
-    "grid.csv": "201a7f2b9d7521945a9f8fd1aa9a1b5d84cef1f6cc234df00f7511beec4127c0",
+    "grid.csv": "e96dee232fed3747b56ec3623d87d0a643d44e0decde60e7ef6c2e54aa9358fe",
 }
 
 
@@ -730,6 +764,36 @@ def test_pinned_output_bytes(tmp_path, spec_file):
         assert run(*argv) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == PINNED_DIGESTS
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path, spec_file):
+    """``train`` writes the same model bytes with one BLAS thread and with two.
+
+    Each run is a fresh interpreter, because OpenBLAS reads its thread count
+    at load time.  A Gram summed by a general matrix product differs in its
+    last bits between the two at this size and degree (50 or 200 points per
+    class do not show it).  On a machine with one CPU, OpenBLAS runs one
+    thread either way, so there the test cannot fail.
+    """
+    data = tmp_path / "train.csv"
+    assert run("synth", spec_file, "--n", 500, "--seed", 1, "--out", data) == 0
+    src = str(Path(cli.__file__).parents[1])
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"model-{threads}.cfm"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from cfkit.cli import main; sys.exit(main())",
+             "train", str(data), "--degree", "8", "--out", str(model)],
+            env=env, check=True, capture_output=True,
+        )
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 # Every flag value the parser rejects: (subcommand and its positional

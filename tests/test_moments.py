@@ -29,6 +29,16 @@ class TestLabeledDataset:
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((2, 1)), [1, 3], m=2)
 
+    @pytest.mark.parametrize("labels", [[1.5, 2.9, 1.0], [1.0, np.nan, 2.0], [1.0, 1e20, 2.0]])
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(DataError, match="labels must be integers >= 1"):
+            LabeledDataset(np.zeros((3, 1)), labels)
+
+    def test_integral_float_labels_accepted(self):
+        data = LabeledDataset(np.zeros((3, 1)), [1.0, 2.0, 1.0])
+        assert data.labels.dtype == np.int64
+        np.testing.assert_array_equal(data.labels, [1, 2, 1])
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((2, 1)), [0, 1])
@@ -73,6 +83,18 @@ class TestEmpiricalMeasure:
     def test_negative_weights_rejected(self):
         with pytest.raises(DataError):
             EmpiricalMeasure(np.zeros((2, 1)), [1.5, -0.5], mass=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(DataError, match="weights must be finite"):
+            EmpiricalMeasure(np.zeros((3, 1)), [0.5, bad, 0.5], mass=1.0)
+        with pytest.raises(DataError, match="weights must be finite"):
+            EmpiricalMeasure(np.zeros((1, 1)), [bad], mass=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            EmpiricalMeasure(np.array([[0.0], [bad]]), [0.5, 0.5], mass=1.0)
 
 
 class TestMomentMatrix:
@@ -201,23 +223,19 @@ class TestJointMomentMatrix:
 
 
 def full_array_gram(basis, points, weights):
-    """Reference assembly: the whole (rows, size) values array at once, its
-    row blocks summed with Kahan compensation in the same order."""
-    values = eval_monomials_batch(basis, points)
+    """Reference assembly: the whole (rows, size) values array at once, scaled
+    by ``sqrt(w)``, its row blocks' products summed in the same order."""
+    values = eval_monomials_batch(basis, points) * np.sqrt(weights)[:, None]
     total = np.zeros((basis.size, basis.size))
-    comp = np.zeros_like(total)
     for block in row_blocks(len(points)):
-        part = (values[block] * weights[block][:, None]).T @ values[block]
-        y = part - comp
-        updated = total + y
-        comp = (updated - total) - y
-        total = updated
-    return 0.5 * (total + total.T)
+        total += values[block].T @ values[block]
+    return total
 
 
 class TestStreamedAssembly:
     """Assembly evaluates the basis one row block at a time; the entries
-    equal, bit for bit, a sum over the full values array."""
+    equal, bit for bit, a sum over the full values array, and the matrix is
+    exactly symmetric."""
 
     ROWS = 2 * EVAL_CHUNK + 37
 
@@ -227,6 +245,7 @@ class TestStreamedAssembly:
         M = empirical_moment_matrix(measure, basis)
         expected = full_array_gram(basis, measure.points, measure.weights)
         np.testing.assert_array_equal(M.entries, expected)
+        assert np.array_equal(M.entries, M.entries.T)
 
     @pytest.mark.parametrize("weighting", ["uniform", "per_class"])
     def test_joint_matches_full_array(self, rng, weighting):
@@ -241,3 +260,4 @@ class TestStreamedAssembly:
         for basis in (enumerate_variety_basis(2, 4, 3), enumerate_tensor_basis(2, 3, 3)):
             M = joint_moment_matrix(data, basis, weighting)
             np.testing.assert_array_equal(M.entries, full_array_gram(basis, pairs, weights))
+            assert np.array_equal(M.entries, M.entries.T)
