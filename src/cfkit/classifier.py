@@ -280,6 +280,8 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     weights are exactly one and zero there and zero-weight terms are
     skipped, so off-support classes cannot poison the sum.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y!r}")
     q = _inverse_scores([model], as_row(x, model.n))[0][0]
     weights = make_theta(model.m).eval_all(y) ** 2
     used = weights != 0.0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .moments import LabeledDataset, row_blocks
+from .moments import LabeledDataset, row_blocks, valid_labels
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def epsilon_interior_mask(points, specs, eps, labels=None) -> np.ndarray:
     class contains it at boundary distance above ``eps``.  Without labels
     (grid mode) shapes of every class are considered.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     pts = np.atleast_2d(np.asarray(points, float))
     keep = np.zeros(pts.shape[0], dtype=bool)
     for spec in specs:
@@ -387,10 +387,6 @@ def _read_rows(path, require_label):
     return table
 
 
-# Labels are stored as int64; a float label at or above this does not fit.
-_LABEL_LIMIT = 2.0**63
-
-
 def _parse_bulk(body, width, n, has_label):
     """Parse every data line in one conversion, or return None.
 
@@ -418,9 +414,18 @@ def _parse_bulk(body, width, n, has_label):
     if not has_label:
         return points, None
     labels = table[:, n]
-    if not np.all((labels >= 1) & (labels < _LABEL_LIMIT) & (labels == np.floor(labels))):
+    if not valid_labels(labels):
         return None
     return points, labels.astype(np.int64)
+
+
+def _label_fault(value: float) -> str:
+    """Why a label that fails ``valid_labels`` fails it."""
+    if not math.isfinite(value):
+        return "non-finite label"
+    if value != int(value):
+        return "non-integer label"
+    return "label < 1" if value < 1 else "label too large"
 
 
 def _parse_by_line(path, lines, width, n, has_label):
@@ -448,14 +453,8 @@ def _parse_by_line(path, lines, width, n, has_label):
                 raise DataError(
                     f"{path}: line {lineno}: non-numeric label"
                 ) from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}: line {lineno}: non-finite label")
-            if value != int(value):
-                raise DataError(f"{path}: line {lineno}: non-integer label")
-            if value < 1:
-                raise DataError(f"label < 1 at line {lineno} of {path}")
-            if value >= _LABEL_LIMIT:
-                raise DataError(f"{path}: line {lineno}: label too large")
+            if not valid_labels(value):
+                raise DataError(f"{path}: line {lineno}: {_label_fault(value)}")
             labels.append(int(value))
         rows.append(coords)
     if not rows:

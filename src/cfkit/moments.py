@@ -11,7 +11,9 @@ symmetric, and its bits do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,6 +22,15 @@ from .multiindex import MonomialBasis, eval_monomials_batch
 
 # Rows per block of basis values; bounds the (rows, size) working arrays.
 EVAL_CHUNK = 4096
+
+# Labels are stored as int64; a float label at or above this does not fit.
+_LABEL_LIMIT = 2.0**63
+
+
+def valid_labels(labels) -> bool:
+    """Whether every label is an integer in ``1 .. 2**63 - 1``."""
+    labels = np.asarray(labels)
+    return bool(np.all((labels >= 1) & (labels < _LABEL_LIMIT) & (labels == np.floor(labels))))
 
 
 def row_blocks(n_rows: int):
@@ -56,7 +67,7 @@ class LabeledDataset:
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
         labels = np.asarray(self.labels)
         # Checked before the int64 cast, which would truncate 1.5 to 1.
-        if not np.all((labels >= 1) & (labels < 2.0**63) & (labels == np.floor(labels))):
+        if not valid_labels(labels):
             raise DataError("labels must be integers >= 1")
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         if self.points.ndim != 2:
@@ -69,6 +80,8 @@ class LabeledDataset:
             raise DataError("points contain non-finite coordinates")
         if self.m is None:
             self.m = int(self.labels.max())
+        elif not (isinstance(self.m, Integral) and self.m >= 1):
+            raise DataError(f"class count m must be an integer >= 1, got {self.m!r}")
         elif np.any(self.labels > self.m):
             bad = int(self.labels.max())
             raise DataError(f"label {bad} exceeds declared class count m={self.m}")
@@ -104,6 +117,8 @@ class EmpiricalMeasure:
             raise DataError("points contain non-finite coordinates")
         if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
             raise DataError("weights must be finite and nonnegative")
+        if not math.isfinite(self.mass):
+            raise DataError(f"mass must be finite, got {self.mass!r}")
         total = float(self.weights.sum())
         if abs(total - self.mass) > 1e-12 * max(abs(self.mass), 1.0):
             raise DataError(
@@ -136,8 +151,9 @@ def uniform_measure(points) -> EmpiricalMeasure:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
+    # An empty input reaches EmpiricalMeasure's own check, not a division by 0.
     k = pts.shape[0]
-    return EmpiricalMeasure(pts, np.full(k, 1.0 / k), mass=1.0)
+    return EmpiricalMeasure(pts, np.full(k, 1.0) / k, mass=1.0)
 
 
 def class_split(

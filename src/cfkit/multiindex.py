@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -33,19 +34,28 @@ def basis_dimension(n: int, t: int) -> int:
     return comb(n + t, n)
 
 
-def _exponents_of_degree(nvars, degree):
-    """Yield exponent tuples of exact total degree, descending lex order."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _exponents_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
-
-
 def _graded_exponents(nvars, max_degree):
-    for d in range(max_degree + 1):
-        yield from _exponents_of_degree(nvars, d)
+    """Yield exponent rows of degree <= max_degree, graded, descending lex.
+
+    Each ascending tuple of d variable indices is one monomial of degree d,
+    and the lexicographic order of the tuples is the descending one of rows.
+    """
+    for degree in range(max_degree + 1):
+        for combo in combinations_with_replacement(range(nvars), degree):
+            row = [0] * nvars
+            for var in combo:
+                row[var] += 1
+            yield row
+
+
+def _check_args(n, t, m=1):
+    """The argument rule every enumerator shares."""
+    if n < 1:
+        raise ValueError("dimension n must be at least 1")
+    if t < 0:
+        raise ValueError("degree t must be nonnegative")
+    if m < 1:
+        raise ValueError("class count m must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +138,7 @@ def enumerate_basis(n: int, t: int) -> MonomialBasis:
 
     The result has exactly ``basis_dimension(n, t)`` entries.
     """
-    if n < 1:
-        raise ValueError("dimension n must be at least 1")
-    if t < 0:
-        raise ValueError("degree t must be nonnegative")
+    _check_args(n, t)
     expo = np.array(list(_graded_exponents(n, t)), dtype=np.int64)
     return MonomialBasis(n=n, t=t, kind="plain", m=None, exponents=expo)
 
@@ -141,7 +148,7 @@ def enumerate_variety_basis(n: int, t: int, m: int) -> MonomialBasis:
 
     Warns when t < m-1, in which case not every y degree is represented.
     """
-    _check_joint_args(n, t, m)
+    _check_args(n, t, m)
     if t < m - 1:
         warnings.warn(
             f"variety basis with t={t} < m-1={m - 1}: the y direction "
@@ -149,7 +156,7 @@ def enumerate_variety_basis(n: int, t: int, m: int) -> MonomialBasis:
             stacklevel=2,
         )
     rows = [e for e in _graded_exponents(n + 1, t) if e[-1] <= m - 1]
-    expo = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
+    expo = np.array(rows, dtype=np.int64)
     return MonomialBasis(n=n, t=t, kind="variety", m=m, exponents=expo)
 
 
@@ -158,23 +165,14 @@ def enumerate_tensor_basis(n: int, t: int, m: int) -> MonomialBasis:
 
     Size is m * basis_dimension(n, t).
     """
-    _check_joint_args(n, t, m)
+    _check_args(n, t, m)
     rows = [
         e
         for e in _graded_exponents(n + 1, t + m - 1)
         if e[-1] <= m - 1 and sum(e[:-1]) <= t
     ]
-    expo = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
+    expo = np.array(rows, dtype=np.int64)
     return MonomialBasis(n=n, t=t, kind="tensor", m=m, exponents=expo)
-
-
-def _check_joint_args(n, t, m):
-    if n < 1:
-        raise ValueError("dimension n must be at least 1")
-    if t < 0:
-        raise ValueError("degree t must be nonnegative")
-    if m < 1:
-        raise ValueError("class count m must be at least 1")
 
 
 def eval_monomials(basis: MonomialBasis, x) -> np.ndarray:

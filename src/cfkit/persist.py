@@ -20,7 +20,7 @@ from .christoffel import ChristoffelEvaluator, ThresholdPolicy
 from .classifier import ClassifierModel
 from .datasets import AffineTransform
 from .errors import DataError
-from .multiindex import enumerate_basis
+from .multiindex import basis_dimension, enumerate_basis
 
 _MAGIC = b"CFKIT-MODEL 1\n"
 
@@ -105,28 +105,6 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
     policy = ThresholdPolicy(
         mode=header["policy"]["mode"], value=header["policy"]["value"]
     )
-    basis = enumerate_basis(n, degree)
-    evaluators = []
-    for k, info in enumerate(header["classes"], start=1):
-        eigenvalues = arrays[f"eigenvalues_{k}"]
-        eigenvectors = arrays[f"eigenvectors_{k}"]
-        expected = (basis.size, eigenvalues.size)
-        if eigenvalues.ndim != 1 or eigenvectors.shape != expected:
-            raise ValueError("eigenvector shape does not match the basis")
-        if not (_positive(eigenvalues) and np.isfinite(eigenvectors).all()):
-            raise ValueError("eigenvalues must be finite and > 0, eigenvectors finite")
-        if not _positive(info["mass"]):
-            raise ValueError("class mass must be finite and > 0")
-        evaluators.append(
-            ChristoffelEvaluator(
-                basis=basis,
-                eigenvalues=eigenvalues,
-                eigenvectors=eigenvectors,
-                threshold=info["threshold"],
-                mass=info["mass"],
-                policy=policy,
-            )
-        )
     transform = AffineTransform(
         center=arrays["transform_center"], scale=arrays["transform_scale"]
     )
@@ -139,6 +117,40 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         raise ValueError("transform must be finite with nonzero scales")
     if not (np.isfinite(floor).all() and (floor >= 0).all()):
         raise ValueError("score floor must be finite and >= 0")
+    # Every shape is checked before the basis is built.  Each class has rank
+    # >= 1 (M[0, 0] is its mass), so the basis size is bounded by stored
+    # bytes.  That size C(n + degree, n) is above max(n, degree) and at least
+    # 2 ** min(n, degree), so the first test keeps math.comb from running
+    # long on a crafted header.
+    rows = len(arrays["eigenvectors_1"])
+    if not (max(n, degree) < rows and min(n, degree) < rows.bit_length()):
+        raise ValueError("n or degree is too large for the eigenvector rows")
+    size = basis_dimension(n, degree)
+    spectra = [
+        (arrays[f"eigenvalues_{k}"], arrays[f"eigenvectors_{k}"])
+        for k in range(1, m + 1)
+    ]
+    for eigenvalues, eigenvectors in spectra:
+        expected = (size, eigenvalues.size)
+        if eigenvalues.ndim != 1 or not eigenvalues.size or eigenvectors.shape != expected:
+            raise ValueError("eigenvector shape does not match the basis")
+        if not (_positive(eigenvalues) and np.isfinite(eigenvectors).all()):
+            raise ValueError("eigenvalues must be finite and > 0, eigenvectors finite")
+    basis = enumerate_basis(n, degree)
+    evaluators = []
+    for (eigenvalues, eigenvectors), info in zip(spectra, header["classes"]):
+        if not _positive(info["mass"]):
+            raise ValueError("class mass must be finite and > 0")
+        evaluators.append(
+            ChristoffelEvaluator(
+                basis=basis,
+                eigenvalues=eigenvalues,
+                eigenvectors=eigenvectors,
+                threshold=info["threshold"],
+                mass=info["mass"],
+                policy=policy,
+            )
+        )
     reject = header["reject_threshold"]
     if reject is not None and not math.isfinite(reject):
         raise ValueError("reject threshold must be finite")

@@ -368,6 +368,13 @@ class TestJointFormulas:
         with pytest.raises(ValueError, match="query point must have length 2"):
             joint_cf(model, x, 1.0)
 
+    def test_y_must_be_finite(self, rng):
+        model = fit(random_joint_dataset(rng, 1, 2, [10, 10]), degree=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="y must be finite"):
+                joint_cf(model, [0.3], bad)
+        assert 0.0 < joint_cf(model, [0.3], -1.0) < np.inf
+
     def test_eval_joint_checks_the_x_part(self, rng):
         data = random_joint_dataset(rng, 2, 2, [12, 12])
         ev = tensor_cf(data, 2)

@@ -170,6 +170,19 @@ class TestTrain:
     def test_unreadable_csv(self, tmp_path):
         assert run("train", tmp_path / "missing.csv", "--out", tmp_path / "m.cfm") == 3
 
+    def test_thousand_columns_at_degree_one(self, tmp_path, rng):
+        # One monomial per column: the basis has 1001 entries.
+        points = rng.normal(size=(40, 1000))
+        points[20:] += 3.0
+        data = tmp_path / "wide.csv"
+        datasets.write_csv(datasets.LabeledDataset(points, [1] * 20 + [2] * 20), data)
+        model = tmp_path / "wide.cfm"
+        assert run("train", data, "--degree", 1, "--out", model) == 0
+        out = tmp_path / "pred.csv"
+        assert run("predict", model, data, "--out", out) == 0
+        predicted = [line.split(",")[1001] for line in out.read_text().splitlines()[1:]]
+        assert predicted == ["1"] * 20 + ["2"] * 20
+
     @pytest.mark.parametrize("label", ["inf", "nan"])
     def test_non_finite_label(self, tmp_path, capsys, label):
         data = tmp_path / "data.csv"
@@ -257,6 +270,38 @@ class TestPredict:
     @pytest.mark.parametrize("edit", ["format-only", "n-text"])
     def test_malformed_model_header(self, tmp_path, hand_model, capsys, edit):
         rewrite_header(hand_model, MALFORMED_HEADERS[edit])
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n0.0\n")
+        assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
+        assert f"{hand_model}: malformed model header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"n": 5000},
+            {"degree": 10**6},
+            # Rows of zero columns cost no payload; C(2**40, 2**39) would not finish.
+            {"n": 2**39, "degree": 2**39, "eigenvectors_1": [2**40, 0]},
+            # A class of rank 0 would let the row count cost no payload either.
+            {"n": 5000, "eigenvectors_1": [5001, 0], "eigenvalues_1": [0]},
+            {"n": 10**5, "eigenvectors_1": [10**5 + 1, 0], "eigenvalues_1": [0]},
+            {"eigenvectors_1": [2, 0], "eigenvalues_1": [0]},
+        ],
+        ids=["n-5000", "degree-1e6", "n-degree-2e39", "n-5000-rank-0", "n-1e5-rank-0", "rank-0"],
+    )
+    def test_oversized_header_is_rejected_before_the_basis(
+        self, tmp_path, hand_model, capsys, monkeypatch, edit
+    ):
+        def unreachable(n, t):
+            raise AssertionError("enumerate_basis reached")
+
+        def patch(header):
+            for entry in header["arrays"]:
+                entry["shape"] = edit.get(entry["name"], entry["shape"])
+            return {**header, **{k: v for k, v in edit.items() if k in ("n", "degree")}}
+
+        monkeypatch.setattr(persist, "enumerate_basis", unreachable)
+        rewrite_header(hand_model, patch)
         queries = tmp_path / "queries.csv"
         queries.write_text("x1\n0.0\n")
         assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3

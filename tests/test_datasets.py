@@ -204,6 +204,11 @@ class TestEpsilonInterior:
                 assert mask.sum() <= previous.sum()
             previous = mask
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -1.0])
+    def test_eps_must_be_finite_and_nonnegative(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            epsilon_interior_mask([[0.5, 0.0]], [DISK], eps)
+
     def test_diameter_eps_empty(self):
         data = gen_shapes([DISK], 200, seed=2)
         mask = epsilon_interior_mask(data.points, [DISK], 2.0, data.labels)
@@ -281,7 +286,7 @@ class TestCsv:
     def test_label_below_one(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,label\n0.5,0\n")
-        with pytest.raises(DataError, match="label < 1 at line 2"):
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: label < 1")):
             read_csv(path)
 
     def test_ragged_row_reports_line(self, tmp_path):

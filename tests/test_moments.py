@@ -39,6 +39,12 @@ class TestLabeledDataset:
         assert data.labels.dtype == np.int64
         np.testing.assert_array_equal(data.labels, [1, 2, 1])
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, 0, -1, "2"])
+    def test_class_count_must_be_a_positive_integer(self, m):
+        with pytest.raises(DataError, match="class count m must be an integer >= 1"):
+            LabeledDataset(np.zeros((2, 1)), [1, 2], m=m)
+        assert LabeledDataset(np.zeros((2, 1)), [1, 2], m=np.int64(3)).m == 3
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((2, 1)), [0, 1])
@@ -90,6 +96,16 @@ class TestEmpiricalMeasure:
             EmpiricalMeasure(np.zeros((3, 1)), [0.5, bad, 0.5], mass=1.0)
         with pytest.raises(DataError, match="weights must be finite"):
             EmpiricalMeasure(np.zeros((1, 1)), [bad], mass=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(DataError, match="mass must be finite"):
+            EmpiricalMeasure(np.zeros((2, 1)), [0.5, 0.5], mass=bad)
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 2))])
+    def test_uniform_measure_of_no_points(self, points):
+        with pytest.raises(DataError, match="nonempty"):
+            uniform_measure(points)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -1,5 +1,6 @@
 """Enumeration order, sizes, and monomial evaluation."""
 
+import warnings
 from itertools import product
 from math import comb
 
@@ -37,6 +38,27 @@ def brute_force_tensor(n, t, m):
     return out
 
 
+def graded_descending_lex(rows):
+    """Exponent tuples sorted by total degree, then descending lexicographic."""
+    return sorted(rows, key=lambda e: (sum(e), [-x for x in e]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", range(6))
+def test_every_kind_lists_the_sorted_product(n, t):
+    plain = [e for e in product(range(t + 1), repeat=n) if sum(e) <= t]
+    assert enumerate_basis(n, t).index_tuples() == graded_descending_lex(plain)
+    for m in range(1, 5):
+        joint = list(product(range(t + m), repeat=n + 1))
+        variety = [e for e in joint if e[-1] < m and sum(e) <= t]
+        tensor = [e for e in joint if e[-1] < m and sum(e[:-1]) <= t]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # t < m - 1 warns
+            got = enumerate_variety_basis(n, t, m).index_tuples()
+        assert got == graded_descending_lex(variety)
+        assert enumerate_tensor_basis(n, t, m).index_tuples() == graded_descending_lex(tensor)
+
+
 class TestPlainBasis:
     def test_degree_one_2d(self):
         assert enumerate_basis(2, 1).index_tuples() == [(0, 0), (1, 0), (0, 1)]
@@ -70,6 +92,11 @@ class TestPlainBasis:
         second = enumerate_basis(3, 5)
         assert first == second
         assert np.array_equal(first.exponents, second.exponents)
+
+    def test_many_variables(self):
+        basis = enumerate_basis(1200, 1)
+        assert basis.size == 1201
+        np.testing.assert_array_equal(basis.exponents[1:], np.eye(1200, dtype=np.int64))
 
     def test_validation(self):
         with pytest.raises(ValueError):
