@@ -243,7 +243,8 @@ def _leads(head: MonomialBasis, basis: MonomialBasis) -> bool:
     return (
         (head.n, head.kind, head.m) == (basis.n, basis.kind, basis.m)
         and head.size <= basis.size
-        and np.array_equal(head.exponents, basis.exponents[: head.size])
+        and np.array_equal(head.parents, basis.parents[: head.size])
+        and np.array_equal(head.variables, basis.variables[: head.size])
     )
 
 

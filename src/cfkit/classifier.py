@@ -221,7 +221,13 @@ def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
     out = {}
     for group in groups.values():
         evaluators = [ev for model in group for ev in model.evaluators]
-        q = inverse_scores(evaluators, group[0].transform.forward(pts))
+        # A finite query that the transform maps out of range scores 0.
+        with np.errstate(over="ignore"):
+            mapped = group[0].transform.forward(pts)
+        far = np.isfinite(pts).all(axis=1) & ~np.isfinite(mapped).all(axis=1)
+        mapped[far] = 0.0
+        q = inverse_scores(evaluators, mapped)
+        q[far] = np.inf
         ends = np.cumsum([model.m for model in group])
         out.update(zip(map(id, group), np.split(q, ends[:-1], axis=1)))
     return [out[id(model)] for model in models]

@@ -122,6 +122,7 @@ def _bounds(text):
 
 
 _EPSILON = _flag("--epsilon", float, lambda v: 0 <= v < math.inf, "finite and at least 0")
+_SEED = _flag("--seed", int, lambda v: v >= 0, "at least 0")
 
 
 def cmd_synth(args):
@@ -308,8 +309,7 @@ def build_parser():
     p.add_argument("spec", help="shape spec file")
     p.add_argument("--n", type=_flag("--n", int, lambda v: v >= 1, "at least 1"),
                    required=True, help="points per listed shape")
-    p.add_argument("--seed", type=_flag("--seed", int, lambda v: v >= 0, "at least 0"),
-                   default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -328,7 +328,7 @@ def build_parser():
     p.add_argument("--reject-gamma", default=None,
                    type=_flag("--reject-gamma", float, math.isfinite, "finite"),
                    help="reject queries whose best score is below this")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_SEED, default=None,
                    help="recorded in the model metadata")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -259,9 +259,10 @@ def scale_to_unit_box(
     """
     lo = dataset.points.min(axis=0)
     hi = dataset.points.max(axis=0)
-    span = hi - lo
-    scale = np.where(span > 0, 2.0 / np.where(span > 0, span, 1.0), 1.0)
-    center = 0.5 * (lo + hi)
+    # Halves, so that no finite box overflows; scaling by 0.5 is exact.
+    half = 0.5 * hi - 0.5 * lo
+    scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 1.0)
+    center = 0.5 * lo + 0.5 * hi
     transform = AffineTransform(center=center, scale=scale)
     scaled = LabeledDataset(
         transform.forward(dataset.points), dataset.labels, m=dataset.m

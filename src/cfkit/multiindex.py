@@ -22,7 +22,8 @@ follows that recurrence, one multiply per basis entry and point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -34,18 +35,25 @@ def basis_dimension(n: int, t: int) -> int:
     return comb(n + t, n)
 
 
-def _graded_exponents(nvars, max_degree):
-    """Yield exponent rows of degree <= max_degree, graded, descending lex.
+def _recurrence(nvars, max_degree, keep=None):
+    """Parents and variables of the monomials of degree <= max_degree.
 
     Each ascending tuple of d variable indices is one monomial of degree d,
-    and the lexicographic order of the tuples is the descending one of rows.
+    listed in descending lex order of exponent rows.  Its parent is the tuple
+    without its last entry, and its variable that entry.  ``keep``, if given,
+    selects the tuples of a downward-closed subset.
     """
-    for degree in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(nvars), degree):
-            row = [0] * nvars
-            for var in combo:
-                row[var] += 1
-            yield row
+    parents, variables = [0], [0]
+    previous = {(): 0}
+    for degree in range(1, max_degree + 1):
+        current = {}
+        # filter(None, ...) keeps every tuple: none is empty at degree >= 1.
+        for combo in filter(keep, combinations_with_replacement(range(nvars), degree)):
+            current[combo] = len(parents)
+            parents.append(previous[combo[:-1]])
+            variables.append(combo[-1])
+        previous = current
+    return np.array(parents, dtype=np.intp), np.array(variables, dtype=np.intp)
 
 
 def _check_args(n, t, m=1):
@@ -60,7 +68,7 @@ def _check_args(n, t, m=1):
 
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
-    """An ordered set of monomial exponents.
+    """An ordered set of monomials, stored as the recurrence that builds them.
 
     Attributes
     ----------
@@ -73,38 +81,29 @@ class MonomialBasis:
     m : int or None
         Number of admissible integer values of y for the joint kinds,
         None for the plain kind.
-    exponents : numpy.ndarray
-        Integer array of shape (size, nvars).  For joint kinds the last
-        column is the y exponent.
     parents, variables : numpy.ndarray
-        Derived at construction: for each entry a past the first (the
-        constant), ``a = exponents[parents] + e_variables``, where the
-        variable is the last nonzero coordinate of a.  The parent always
-        precedes its child.
+        Entry 0 is the constant monomial.  Every later entry a is its
+        parent times one variable, ``x^a = x^{parents[a]} * x_{variables[a]}``,
+        and the parent precedes its child.  For the joint kinds variable
+        ``n`` is y.
     """
 
     n: int
     t: int
     kind: str
     m: int | None
-    exponents: np.ndarray
-    parents: np.ndarray = field(init=False, repr=False)
-    variables: np.ndarray = field(init=False, repr=False)
+    parents: np.ndarray
+    variables: np.ndarray
 
     def __post_init__(self):
-        expo = self.exponents.tolist()
-        index = {tuple(row): i for i, row in enumerate(expo)}
-        parents = np.zeros(len(expo), dtype=np.intp)
-        variables = np.zeros(len(expo), dtype=np.intp)
-        if any(expo[0]):
-            raise ValueError("basis must start with the constant monomial")
-        for i, row in enumerate(expo[1:], start=1):
-            var = max((k for k, e in enumerate(row) if e), default=0)
-            row[var] -= 1
-            parents[i] = index.get(tuple(row), i)
-            variables[i] = var
-            if parents[i] >= i:
-                raise ValueError("basis is not downward closed in graded order")
+        parents = np.asarray(self.parents, dtype=np.intp)
+        variables = np.asarray(self.variables, dtype=np.intp)
+        if parents.ndim != 1 or parents.shape != variables.shape or not parents.size:
+            raise ValueError("parents and variables must be 1-D, nonempty and of one length")
+        if not np.all((0 <= parents[1:]) & (parents[1:] < np.arange(1, parents.size))):
+            raise ValueError("each parent must be an earlier entry")
+        if not np.all((0 <= variables) & (variables < self.nvars)):
+            raise ValueError(f"variables must lie in 0 .. {self.nvars - 1}")
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "variables", variables)
 
@@ -115,7 +114,16 @@ class MonomialBasis:
 
     @property
     def size(self) -> int:
-        return self.exponents.shape[0]
+        return self.parents.size
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """Exponent rows, shape (size, nvars), y last; derived on first read."""
+        expo = np.zeros((self.size, self.nvars), dtype=np.int64)
+        for a in range(1, self.size):
+            expo[a] = expo[self.parents[a]]
+            expo[a, self.variables[a]] += 1
+        return expo
 
     def index_tuples(self) -> list[tuple[int, ...]]:
         """The ordered exponent tuples, for inspection and tests."""
@@ -125,11 +133,9 @@ class MonomialBasis:
         if not isinstance(other, MonomialBasis):
             return NotImplemented
         return (
-            self.n == other.n
-            and self.t == other.t
-            and self.kind == other.kind
-            and self.m == other.m
-            and np.array_equal(self.exponents, other.exponents)
+            (self.n, self.t, self.kind, self.m) == (other.n, other.t, other.kind, other.m)
+            and np.array_equal(self.parents, other.parents)
+            and np.array_equal(self.variables, other.variables)
         )
 
 
@@ -139,8 +145,7 @@ def enumerate_basis(n: int, t: int) -> MonomialBasis:
     The result has exactly ``basis_dimension(n, t)`` entries.
     """
     _check_args(n, t)
-    expo = np.array(list(_graded_exponents(n, t)), dtype=np.int64)
-    return MonomialBasis(n=n, t=t, kind="plain", m=None, exponents=expo)
+    return MonomialBasis(n, t, "plain", None, *_recurrence(n, t))
 
 
 def enumerate_variety_basis(n: int, t: int, m: int) -> MonomialBasis:
@@ -155,9 +160,7 @@ def enumerate_variety_basis(n: int, t: int, m: int) -> MonomialBasis:
             "is not fully resolved",
             stacklevel=2,
         )
-    rows = [e for e in _graded_exponents(n + 1, t) if e[-1] <= m - 1]
-    expo = np.array(rows, dtype=np.int64)
-    return MonomialBasis(n=n, t=t, kind="variety", m=m, exponents=expo)
+    return MonomialBasis(n, t, "variety", m, *_recurrence(n + 1, t, lambda c: c.count(n) < m))
 
 
 def enumerate_tensor_basis(n: int, t: int, m: int) -> MonomialBasis:
@@ -166,13 +169,8 @@ def enumerate_tensor_basis(n: int, t: int, m: int) -> MonomialBasis:
     Size is m * basis_dimension(n, t).
     """
     _check_args(n, t, m)
-    rows = [
-        e
-        for e in _graded_exponents(n + 1, t + m - 1)
-        if e[-1] <= m - 1 and sum(e[:-1]) <= t
-    ]
-    expo = np.array(rows, dtype=np.int64)
-    return MonomialBasis(n=n, t=t, kind="tensor", m=m, exponents=expo)
+    recurrence = _recurrence(n + 1, t + m - 1, lambda c: len(c) - t <= c.count(n) < m)
+    return MonomialBasis(n, t, "tensor", m, *recurrence)
 
 
 def eval_monomials(basis: MonomialBasis, x) -> np.ndarray:

@@ -211,7 +211,7 @@ class TestNestedScoring:
         "other",
         [
             enumerate_basis(1, 4),
-            MonomialBasis(2, 1, "plain", None, np.array([[0, 0], [0, 1], [1, 0]])),
+            MonomialBasis(2, 1, "plain", None, parents=[0, 0, 0], variables=[0, 1, 0]),
             enumerate_variety_basis(2, 1, 2),
         ],
         ids=["other-n", "other-order", "other-kind"],

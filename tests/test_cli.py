@@ -183,6 +183,17 @@ class TestTrain:
         predicted = [line.split(",")[1001] for line in out.read_text().splitlines()[1:]]
         assert predicted == ["1"] * 20 + ["2"] * 20
 
+    def test_box_of_the_whole_float_range(self, tmp_path):
+        # hi - lo overflows here; warnings are errors in this suite.
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n-1e308,1\n-9e307,1\n-8e307,1\n8e307,2\n9e307,2\n1e308,2\n")
+        model = tmp_path / "m.cfm"
+        assert run("train", data, "--degree", 1, "--out", model) == 0
+        out = tmp_path / "pred.csv"
+        assert run("predict", model, data, "--out", out) == 0
+        predicted = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+        assert predicted == ["1"] * 3 + ["2"] * 3
+
     @pytest.mark.parametrize("label", ["inf", "nan"])
     def test_non_finite_label(self, tmp_path, capsys, label):
         data = tmp_path / "data.csv"
@@ -434,6 +445,25 @@ class TestPredict:
         b = (tmp_path / "b.csv").read_text().splitlines()
         assert a[3].split(",")[3:] == ["0.0", "0.0"]
         assert a[:3] + a[4:] == b
+
+    def test_finite_query_the_transform_overflows_scores_zero(self, tmp_path):
+        # A box 1e-3 wide: the scale is about 2e3, so 1e306 maps past the
+        # float range.  Warnings are errors in this suite.
+        train = tmp_path / "train.csv"
+        train.write_text("x1,label\n0.0,1\n2e-4,1\n4e-4,1\n6e-4,2\n8e-4,2\n1e-3,2\n")
+        model = tmp_path / "model.cfm"
+        assert run("train", train, "--degree", 1, "--out", model) == 0
+        loaded = load_model(model)
+        np.testing.assert_array_equal(scores_batch(loaded, [[1e306]]), [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            scores_batch(loaded, [[np.nan]])
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1\n2e-4\n1e306\n")
+        out = tmp_path / "pred.csv"
+        assert run("predict", model, queries, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1].split(",")[1] == "1"
+        assert lines[2].split(",")[2:] == ["0.0", "0.0"]
 
 
 class TestEval:
@@ -854,6 +884,8 @@ BAD_FLAGS = [
     (["train", "missing.csv"], ["--threshold-policy", "tikhonov:inf"]),
     (["train", "missing.csv"], ["--threshold-policy", "rel:-1"]),
     (["train", "missing.csv"], ["--reject-gamma", "nan"]),
+    (["train", "missing.csv"], ["--seed", "abc"]),
+    (["train", "missing.csv"], ["--seed", "-3"]),
     (["eval", "missing.cfm", "missing.csv"], ["--epsilon", "nan"]),
     (["eval", "missing.cfm", "missing.csv"], ["--epsilon", "-1"]),
     (["levelset", "missing.cfm"], ["--grid-res", "1"]),

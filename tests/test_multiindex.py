@@ -1,5 +1,6 @@
 """Enumeration order, sizes, and monomial evaluation."""
 
+import tracemalloc
 import warnings
 from itertools import product
 from math import comb
@@ -48,15 +49,31 @@ def graded_descending_lex(rows):
 def test_every_kind_lists_the_sorted_product(n, t):
     plain = [e for e in product(range(t + 1), repeat=n) if sum(e) <= t]
     assert enumerate_basis(n, t).index_tuples() == graded_descending_lex(plain)
+    assert_child_is_parent_times_last_variable(enumerate_basis(n, t))
     for m in range(1, 5):
         joint = list(product(range(t + m), repeat=n + 1))
         variety = [e for e in joint if e[-1] < m and sum(e) <= t]
         tensor = [e for e in joint if e[-1] < m and sum(e[:-1]) <= t]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # t < m - 1 warns
-            got = enumerate_variety_basis(n, t, m).index_tuples()
+            variety_basis = enumerate_variety_basis(n, t, m)
+            got = variety_basis.index_tuples()
         assert got == graded_descending_lex(variety)
         assert enumerate_tensor_basis(n, t, m).index_tuples() == graded_descending_lex(tensor)
+        assert_child_is_parent_times_last_variable(variety_basis)
+        assert_child_is_parent_times_last_variable(enumerate_tensor_basis(n, t, m))
+
+
+def assert_child_is_parent_times_last_variable(basis):
+    """Each exponent row is its parent's plus one unit of its variable, and
+    that variable is the row's last nonzero coordinate."""
+    expo = basis.exponents
+    for a in range(1, basis.size):
+        var = basis.variables[a]
+        np.testing.assert_array_equal(
+            expo[a], expo[basis.parents[a]] + np.eye(basis.nvars, dtype=np.int64)[var]
+        )
+        assert var == np.flatnonzero(expo[a])[-1]
 
 
 class TestPlainBasis:
@@ -97,6 +114,19 @@ class TestPlainBasis:
         basis = enumerate_basis(1200, 1)
         assert basis.size == 1201
         np.testing.assert_array_equal(basis.exponents[1:], np.eye(1200, dtype=np.int64))
+        assert not basis.parents.any()
+        np.testing.assert_array_equal(basis.variables[1:], np.arange(1200))
+
+    def test_wide_degree_one_basis_is_small(self):
+        # The recurrence of 5001 entries, not a (5001, 5000) exponent array.
+        tracemalloc.start()
+        try:
+            basis = enumerate_basis(5000, 1)
+            eval_monomials_batch(basis, np.ones((3, 5000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -219,9 +249,11 @@ class TestEvalMonomials:
             assert got[0, 0] == 1.0 and not got[0, 1:].any()
 
     def test_basis_must_be_downward_closed(self):
-        for rows in ([[0], [2]], [[1], [0]]):  # gap in degree; constant not first
+        # A parent that is not earlier, a negative parent, a variable >= nvars.
+        for parents, variables in ([0, 1], [0, 0]), ([0, -1], [0, 0]), ([0, 0], [0, 1]):
             with pytest.raises(ValueError):
-                MonomialBasis(n=1, t=2, kind="plain", m=None, exponents=np.array(rows))
+                MonomialBasis(n=1, t=2, kind="plain", m=None, parents=parents,
+                              variables=variables)
 
 
 class _no_warning:
