@@ -16,9 +16,9 @@ leaves the retained eigenspace get L = 0, exactly as the variational form
 dictates (some polynomial vanishing on the sample is nonzero at x, so the
 infimum is 0).  The inverse score q = 1/L is reported as ``inf`` there.
 
-Scoring is one matrix product per evaluator and block of ``EVAL_CHUNK``
-query rows (the row blocks of ``moments``, which assembly uses too).
-Evaluators at several degrees of one basis kind share the block's basis
+Scoring is one matrix product per evaluator and block of query rows, as
+``moments.basis_blocks`` yields them to moment assembly too.  Evaluators
+at several degrees of one basis kind share the block's basis
 values: a degree-t basis is the leading block of every larger one, so
 each evaluator reads the leading columns of its size.  The evaluator
 holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .moments import EVAL_CHUNK, MomentMatrix, block_workspace, row_blocks
+from .moments import MomentMatrix, basis_blocks
 from .multiindex import MonomialBasis, eval_monomials_batch
 
 # Relative projection residual above which a query point is declared
@@ -160,34 +160,6 @@ def build_evaluator(
     )
 
 
-def inverse_scores_from_values(
-    ev: ChristoffelEvaluator, values, norm=None, out=None
-) -> np.ndarray:
-    """Inverse scores from one block of basis values: row i of ``values`` is v(x_i).
-
-    This is the scoring kernel behind :func:`inverse_scores`, one matrix
-    product over all rows given, written into the leading rows and columns
-    of the row-major array ``out`` if one is given.  ``values`` may hold
-    more columns than the evaluator's basis; its leading ``ev.basis.size``
-    are used.  A row is off range, and scores ``inf``, when the squared
-    norm of its projection onto the discarded directions exceeds
-    ``OFF_RANGE_TOL**2`` times ``norm``, the squared norm of v(x),
-    computed here unless given.
-    """
-    V = values[:, : ev.basis.size]
-    if out is not None:
-        out = out[: V.shape[0], : V.shape[1]]
-    Y = np.matmul(V, ev.scoring, out=out)
-    kept, off = Y[:, : ev.rank], Y[:, ev.rank :]
-    q = np.einsum("ij,ij->i", kept, kept)
-    if ev.rank < ev.basis.size:
-        # Squared norms on both sides: no square root per row.
-        if norm is None:
-            norm = np.einsum("ij,ij->i", V, V)
-        q[np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norm] = np.inf
-    return q
-
-
 def cf_from_inverse(q: np.ndarray) -> np.ndarray:
     """Christoffel function values 1/q; IEEE division maps ``inf`` to 0.0.
 
@@ -217,21 +189,21 @@ def inverse_scores(evaluators, points) -> np.ndarray:
         if not _leads(ev.basis, basis):
             raise ValueError("evaluator bases must be leading blocks of the largest one")
     q = np.empty((pts.shape[0], len(evaluators)))
-    # The block's basis values (column-major) and the one product alive at
-    # a time (row-major), for every block.
-    work = block_workspace(pts.shape[0], basis.size)
-    product = work[1].reshape(-1, basis.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in row_blocks(pts.shape[0]):
-            rows = block.stop - block.start
-            values = eval_monomials_batch(basis, pts[block], out=work[0, :, :rows].T)
+        for block, values, spare in basis_blocks(basis, pts):
             # ||v||^2 per basis size, for the evaluators that need it.
             norms = {}
             for k, ev in enumerate(evaluators):
-                s = ev.basis.size
-                if ev.rank < s and s not in norms:
+                s, rank = ev.basis.size, ev.rank
+                if rank < s and s not in norms:
                     norms[s] = np.einsum("ij,ij->i", values[:, :s], values[:, :s])
-                q[block, k] = inverse_scores_from_values(ev, values, norms.get(s), product)
+                Y = np.matmul(values[:, :s], ev.scoring, out=spare[:, :s])
+                kept, off = Y[:, :rank], Y[:, rank:]
+                np.einsum("ij,ij->i", kept, kept, out=q[block, k])
+                if rank < s:
+                    # Squared norms on both sides: no square root per row.
+                    off_range = np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norms[s]
+                    q[block, k][off_range] = np.inf
             # Per block, so the mask is no larger than the other working arrays.
             chunk = q[block]
             chunk[~np.isfinite(chunk)] = np.inf

@@ -254,14 +254,17 @@ def scale_to_unit_box(
 ) -> tuple[LabeledDataset, AffineTransform]:
     """Affinely map the data bounding box onto [-1, 1]^n.
 
-    A coordinate with a single distinct value is only recentered
-    (scale 1), so the transform stays invertible.
+    A coordinate whose half-width has no finite inverse (a single
+    distinct value, or a box narrower than about 1e-308) is only
+    recentered (scale 1), so the transform stays invertible.
     """
     lo = dataset.points.min(axis=0)
     hi = dataset.points.max(axis=0)
     # Halves, so that no finite box overflows; scaling by 0.5 is exact.
     half = 0.5 * hi - 0.5 * lo
-    scale = np.where(half > 0, 1.0 / np.where(half > 0, half, 1.0), 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = 1.0 / half
+    scale[~np.isfinite(scale)] = 1.0
     center = 0.5 * lo + 0.5 * hi
     transform = AffineTransform(center=center, scale=scale)
     scaled = LabeledDataset(

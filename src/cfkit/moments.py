@@ -1,10 +1,10 @@
 """Empirical measures on labeled point clouds and their moment matrices.
 
 A moment matrix is the Gram matrix of a monomial basis under a discrete
-measure: M[a, b] = sum_i w_i * x_i^(a+b).  Assembly runs over the points
-in their stored order, in the ``row_blocks`` that query scoring uses too,
-evaluating the basis one block at a time, so its working memory does not
-grow with the number of points.  Each block adds its ``sqrt(w)``-scaled
+measure: M[a, b] = sum_i w_i * x_i^(a+b).  Assembly walks the points in
+their stored order through ``basis_blocks``, as query scoring does, one
+block of basis values at a time, so its working memory does not grow
+with the number of points.  Each block adds its ``sqrt(w)``-scaled
 values times their own transpose (BLAS ``syrk``): the matrix is exactly
 symmetric, and its bits do not depend on the BLAS thread count.
 """
@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .multiindex import MonomialBasis, eval_monomials_batch
 
 # Rows per block of basis values; bounds the (rows, size) working arrays.
@@ -39,17 +39,24 @@ def row_blocks(n_rows: int):
         yield slice(start, min(start + EVAL_CHUNK, n_rows))
 
 
-def block_workspace(n_rows: int, size: int) -> np.ndarray:
-    """Room for two (rows, size) arrays of one block, shape (2, size, rows).
+def basis_blocks(basis: MonomialBasis, points: np.ndarray):
+    """The basis values of ``points``, one ``row_blocks`` block at a time.
 
-    A loop over ``row_blocks(n_rows)`` allocates it once and writes every
-    block's working arrays into it.  One allocation per call, in place of
-    fresh arrays per block, also keeps glibc from returning the memory to
-    the system after each call: freeing a chunk this large raises its trim
-    threshold to twice the chunk, so the next call reuses the pages instead
-    of faulting them in again.
+    Yields ``(block, values, spare)`` for each block: ``values`` holds the
+    block's basis values, shape (rows, basis.size) and column-major, and
+    ``spare`` is a row-major array of that shape for the caller's product.
+    Both are rewritten at the next block.  They come from one allocation
+    per call, in place of fresh arrays per block, which also keeps glibc
+    from returning the memory to the system after each call: freeing a
+    chunk this large raises its trim threshold to twice the chunk, so the
+    next call reuses the pages instead of faulting them in again.
     """
-    return np.empty((2, size, min(EVAL_CHUNK, n_rows)))
+    work = np.empty((2, basis.size, min(EVAL_CHUNK, points.shape[0])))
+    spare = work[1].reshape(-1, basis.size)
+    for block in row_blocks(points.shape[0]):
+        rows = block.stop - block.start
+        values = eval_monomials_batch(basis, points[block], out=work[0, :, :rows].T)
+        yield block, values, spare[:rows]
 
 
 @dataclass
@@ -177,20 +184,23 @@ def class_split(
 
 
 def _gram(basis: MonomialBasis, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted Gram sum_i w_i v(x_i) v(x_i)^T, one ``row_blocks`` block at a time.
+    """Weighted Gram sum_i w_i v(x_i) v(x_i)^T, one ``basis_blocks`` block at a time.
 
     Each block's values are scaled in place by ``sqrt(w_i)`` (weights are
     checked finite and >= 0 by :class:`EmpiricalMeasure`), and their product
-    with their own transpose (BLAS ``syrk``) is added to the total.
+    with their own transpose (BLAS ``syrk``) is added to the total.  A
+    total that overflows raises :class:`NumericalError`.
     """
-    s = basis.size
-    total = np.zeros((s, s))
-    work = block_workspace(points.shape[0], s)
-    for block in row_blocks(points.shape[0]):
-        rows = block.stop - block.start
-        values = eval_monomials_batch(basis, points[block], out=work[0, :, :rows].T)
-        values *= np.sqrt(weights[block])[:, None]
-        total += values.T @ values
+    total = np.zeros((basis.size, basis.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, values, _ in basis_blocks(basis, points):
+            values *= np.sqrt(weights[block])[:, None]
+            total += values.T @ values
+    if not np.all(np.isfinite(total)):
+        raise NumericalError(
+            f"moment matrix is not finite at degree {basis.t}: the monomials "
+            "of the points overflow; rescale the points or lower the degree"
+        )
     return total
 
 

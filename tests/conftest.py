@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfkit import EmpiricalMeasure, LabeledDataset, ShapeSpec, fit, gen_shapes
-from cfkit.christoffel import EVAL_CHUNK
+from cfkit.moments import EVAL_CHUNK
 
 THREE_SHAPES = [
     ShapeSpec(kind="disk", label=1, center=(-3.0, 0.0), radius=1.0),

@@ -194,6 +194,21 @@ class TestTrain:
         predicted = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
         assert predicted == ["1"] * 3 + ["2"] * 3
 
+    def test_box_narrower_than_the_smallest_normal_float(self, tmp_path):
+        # 1 / half-width overflows here; warnings are errors in this suite.
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0,1\n1e-310,1\n2e-310,1\n3e-310,2\n4e-310,2\n5e-310,2\n")
+        model = tmp_path / "m.cfm"
+        assert run("train", data, "--degree", 1, "--out", model) == 0
+        assert run("predict", model, data, "--out", tmp_path / "pred.csv") == 0
+
+    def test_overflowing_moment_matrix(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n-1e200,1\n-2e200,1\n-3e200,1\n1e200,2\n2e200,2\n3e200,2\n")
+        argv = ("train", data, "--no-scale", "--degree", 2, "--out", tmp_path / "m.cfm")
+        assert run(*argv) == 4
+        assert "moment matrix is not finite at degree 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("label", ["inf", "nan"])
     def test_non_finite_label(self, tmp_path, capsys, label):
         data = tmp_path / "data.csv"

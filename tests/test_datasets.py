@@ -250,6 +250,13 @@ class TestScaleToUnitBox:
         assert transform.scale[0] == 1.0
         np.testing.assert_allclose(transform.inverse(scaled.points), data.points)
 
+    def test_subnormal_width_gets_scale_one(self):
+        # 1 / half-width overflows here; warnings are errors in this suite.
+        data = LabeledDataset(np.array([[0.0, 1.0], [5e-310, 2.0]]), [1, 1])
+        scaled, transform = scale_to_unit_box(data)
+        np.testing.assert_array_equal(transform.scale, [1.0, 2.0])
+        np.testing.assert_array_equal(scaled.points[:, 1], [-1.0, 1.0])
+
     def test_round_trip_random(self, rng):
         pts = rng.normal(scale=50.0, size=(40, 3))
         data = LabeledDataset(pts, np.ones(40, dtype=int))

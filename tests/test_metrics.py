@@ -6,13 +6,13 @@ import pytest
 from cfkit import (
     DataError,
     ShapeSpec,
-    christoffel,
     confusion_matrix,
     evaluate_model,
     evaluate_models,
     fit,
     fit_degrees,
     gen_shapes,
+    moments,
     render_report,
     scores_batch,
 )
@@ -111,12 +111,12 @@ class TestEvaluateModels:
         models = fit_degrees(gen_shapes(TWO_DISKS, 200, seed=5), [2, 6, 4, 3])
         test = gen_shapes(TWO_DISKS, EVAL_CHUNK // 2 + 10, seed=6)
         evaluated = []
-        real = christoffel.eval_monomials_batch
+        real = moments.eval_monomials_batch
 
         def counted(basis, points, **kwargs):
             evaluated.append((basis.t, len(points)))
             return real(basis, points, **kwargs)
 
-        monkeypatch.setattr(christoffel, "eval_monomials_batch", counted)
+        monkeypatch.setattr(moments, "eval_monomials_batch", counted)
         evaluate_models(models, test)
         assert evaluated == [(6, EVAL_CHUNK), (6, 20)]

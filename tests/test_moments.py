@@ -7,16 +7,19 @@ from cfkit import (
     DataError,
     EmpiricalMeasure,
     LabeledDataset,
+    NumericalError,
     class_split,
     empirical_moment_matrix,
     enumerate_basis,
     enumerate_tensor_basis,
     enumerate_variety_basis,
     eval_monomials_batch,
+    fit,
     joint_moment_matrix,
+    tensor_cf,
     uniform_measure,
 )
-from cfkit.moments import EVAL_CHUNK, row_blocks
+from cfkit.moments import EVAL_CHUNK, basis_blocks, row_blocks
 from conftest import random_joint_dataset, random_measure
 
 
@@ -277,3 +280,41 @@ class TestStreamedAssembly:
             M = joint_moment_matrix(data, basis, weighting)
             np.testing.assert_array_equal(M.entries, full_array_gram(basis, pairs, weights))
             assert np.array_equal(M.entries, M.entries.T)
+
+
+class TestBasisBlocks:
+    """The one row-block pass over the basis that assembly and scoring share."""
+
+    @pytest.mark.parametrize("degree", [8, 12])
+    def test_blocks_in_order_from_one_allocation(self, rng, degree):
+        basis = enumerate_basis(2, degree)
+        points = rng.uniform(-1.0, 1.0, size=(2 * EVAL_CHUNK + 5, 2))
+        stops = [0]
+        bases = set()
+        for block, values, spare in basis_blocks(basis, points):
+            assert block.start == stops[-1]
+            stops.append(block.stop)
+            expected = eval_monomials_batch(basis, points[block])
+            assert values.shape == spare.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
+            bases.update((id(values.base), id(spare.base)))
+        assert stops == [0, EVAL_CHUNK, 2 * EVAL_CHUNK, 2 * EVAL_CHUNK + 5]
+        assert len(bases) == 1
+
+
+class TestOverflow:
+    """A moment matrix whose entries overflow raises NumericalError, with no
+    floating-point warning on the way (warnings are errors in this suite)."""
+
+    DATA = LabeledDataset(
+        np.array([[-1e200], [-2e200], [-3e200], [1e200], [2e200], [3e200]]),
+        [1, 1, 1, 2, 2, 2],
+    )
+
+    def test_fit_in_raw_coordinates(self):
+        with pytest.raises(NumericalError, match="moment matrix is not finite at degree 2"):
+            fit(self.DATA, degree=2, scale=False)
+
+    def test_tensor_cf(self):
+        with pytest.raises(NumericalError, match="moment matrix is not finite at degree 2"):
+            tensor_cf(self.DATA, 2)
