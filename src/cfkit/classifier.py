@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .moments import (
     joint_moment_matrix,
 )
 from .multiindex import (
+    MonomialBasis,
     basis_dimension,
     enumerate_basis,
     enumerate_tensor_basis,
@@ -76,9 +78,68 @@ def make_theta(m: int) -> InterpolationBasis:
     return InterpolationBasis(m=m)
 
 
+class _DeferredFloors:
+    """The 5% training score floors of the models of one :func:`fit_degrees` call.
+
+    Holds each class's scaled training points and its evaluators, one per
+    model, until the first read of any model's floor.  That read runs one
+    :func:`inverse_scores` pass over each class's own points for all the
+    models, takes each model's 5th percentile, and drops the points.
+    """
+
+    def __init__(self, classes: list[tuple[np.ndarray, list[ChristoffelEvaluator]]]):
+        self._classes = classes
+        self._floors = None
+
+    def floor(self, k: int) -> np.ndarray:
+        # Read before the test: _floors is set before _classes is dropped, so
+        # a concurrent first read either sees the floors or computes its own.
+        classes = self._classes
+        if self._floors is None:
+            floors = [np.empty(len(classes)) for _ in classes[0][1]]
+            for j, (points, fitted) in enumerate(classes):
+                own = cf_from_inverse(inverse_scores(fitted, points))
+                for i, floor in enumerate(floors):
+                    floor[j] = np.percentile(own[:, i], 5.0)
+            self._floors = floors
+            self._classes = None
+        return self._floors[k]
+
+
+class _FloorOf(NamedTuple):
+    """Model ``k``'s entry of a :class:`_DeferredFloors`."""
+
+    floors: _DeferredFloors
+    k: int
+
+
+class _TrainScoreFloor:
+    """The ``train_score_floor`` field of :class:`ClassifierModel`.
+
+    Holds an ``(m,)`` array or None, or, from :func:`fit_degrees`, a
+    :class:`_FloorOf` that the first read replaces with the model's array.
+    """
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return None  # the dataclass default
+        value = model._train_score_floor
+        if isinstance(value, _FloorOf):
+            value = model._train_score_floor = value.floors.floor(value.k)
+        return value
+
+    def __set__(self, model, value):
+        model._train_score_floor = value
+
+
 @dataclass
 class ClassifierModel:
-    """Per-class Christoffel evaluators plus the shared input transform."""
+    """Per-class Christoffel evaluators plus the shared input transform.
+
+    ``train_score_floor`` holds each class's 5th percentile of the scores
+    of its own training points, or None.  :func:`fit_degrees` computes it
+    on its first read.
+    """
 
     m: int
     degree: int
@@ -87,7 +148,7 @@ class ClassifierModel:
     policy: ThresholdPolicy
     class_prior_weights: bool = False
     reject_threshold: float | None = None
-    train_score_floor: np.ndarray | None = None
+    train_score_floor: np.ndarray | None = _TrainScoreFloor()
 
     @property
     def n(self) -> int:
@@ -118,7 +179,8 @@ def fit(
     assembled (monomial Gram matrices are badly conditioned otherwise);
     pass ``scale=False`` to work in the raw coordinates.  With ``degree``
     unset a conservative default is derived from the class sizes.  This
-    is the one-degree case of :func:`fit_degrees`.
+    is the one-degree case of :func:`fit_degrees`: one pass over the data,
+    and ``train_score_floor`` is computed on its first read.
     """
     if degree is None:
         degree = default_degree(dataset)
@@ -135,7 +197,7 @@ def fit_degrees(
     class_prior_weights: bool = False,
     reject_threshold: float | None = None,
 ) -> list[ClassifierModel]:
-    """One model per entry of ``degrees``, all fitted from two passes over the data.
+    """One model per entry of ``degrees``, all fitted from one pass over the data.
 
     The rescaling and the class split are computed once, and per class the
     moment matrix at ``max(degrees)``, assembled one row block at a time
@@ -143,13 +205,15 @@ def fit_degrees(
     the class size.  The basis is graded, so the degree-t basis is the
     leading ``s_t`` entries of it and the degree-t moment matrix is the
     leading ``s_t x s_t`` block.  Each entry gets its own evaluators from
-    those, and its 5% training score floor from one :func:`inverse_scores`
-    pass over the class's points, which scores every entry's evaluator on
-    the leading columns of the same basis values.  Duplicate and unsorted
-    entries are kept in order.  A one-degree call is the same arithmetic
-    as a fit at that degree.  The blocks can differ from a separate
-    assembly at degree t in the last bits (the matrix product sums in a
-    shape-dependent order).  Other arguments are as in :func:`fit`.
+    those.  The 5% training score floors are computed on the first read
+    of any entry's ``train_score_floor``, for every entry at once: one
+    :func:`inverse_scores` pass over each class's points scores every
+    entry's evaluator on the leading columns of the same basis values.
+    Duplicate and unsorted entries are kept in order.  A one-degree call
+    is the same arithmetic as a fit at that degree.  The blocks can differ
+    from a separate assembly at degree t in the last bits (the matrix
+    product sums in a shape-dependent order).  Other arguments are as in
+    :func:`fit`.
     """
     degrees = list(degrees)
     if not degrees:
@@ -164,11 +228,10 @@ def fit_degrees(
         scaled, transform = scale_to_unit_box(dataset)
     else:
         scaled, transform = dataset, AffineTransform.identity(dataset.n)
-    bases = {t: enumerate_basis(dataset.n, t) for t in set(degrees)}
-    top = bases[max(degrees)]
+    top = enumerate_basis(dataset.n, max(degrees))
+    bases = {t: _leading_basis(top, t) for t in set(degrees)}
     measures = class_split(scaled, class_prior_weights=class_prior_weights)
-    evaluators = [[] for _ in degrees]
-    floors = [np.empty(dataset.m) for _ in degrees]
+    classes = []
     for label, measure in enumerate(measures, start=1):
         if measure.points.shape[0] > 1 and np.all(
             measure.points == measure.points[0]
@@ -183,23 +246,27 @@ def fit_degrees(
             s = bases[t].size
             block = MomentMatrix(bases[t], gram[:s, :s], measure.mass)
             fitted.append(build_evaluator(block, policy))
-        own = cf_from_inverse(inverse_scores(fitted, measure.points))
-        for k, ev in enumerate(fitted):
-            evaluators[k].append(ev)
-            floors[k][label - 1] = np.percentile(own[:, k], 5.0)
+        classes.append((measure.points, fitted))
+    floors = _DeferredFloors(classes)
     return [
         ClassifierModel(
             m=dataset.m,
             degree=t,
-            evaluators=evaluators[k],
+            evaluators=[fitted[k] for _, fitted in classes],
             transform=transform,
             policy=policy,
             class_prior_weights=class_prior_weights,
             reject_threshold=reject_threshold,
-            train_score_floor=floors[k],
+            train_score_floor=_FloorOf(floors, k),
         )
         for k, t in enumerate(degrees)
     ]
+
+
+def _leading_basis(basis: MonomialBasis, t: int) -> MonomialBasis:
+    """The plain degree-t basis as the leading entries of a larger one."""
+    s = basis_dimension(basis.n, t)
+    return MonomialBasis(basis.n, t, "plain", None, basis.parents[:s], basis.variables[:s])
 
 
 def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
@@ -224,7 +291,11 @@ def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
         # A finite query that the transform maps out of range scores 0.
         with np.errstate(over="ignore"):
             mapped = group[0].transform.forward(pts)
-        far = np.isfinite(pts).all(axis=1) & ~np.isfinite(mapped).all(axis=1)
+        # Reductions along the short axis of (rows, n) are slow: take the
+        # row mask only when some value is not finite.
+        far = slice(0)
+        if not np.isfinite(mapped).all():
+            far = np.isfinite(pts).all(axis=1) & ~np.isfinite(mapped).all(axis=1)
         mapped[far] = 0.0
         q = inverse_scores(evaluators, mapped)
         q[far] = np.inf

@@ -20,6 +20,7 @@ document; tables are CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -255,32 +256,39 @@ def cmd_levelset(args):
 def cmd_sweep(args):
     n_list, t_list, seeds = args.n_list, args.t_list, args.seeds
     specs = read_shape_specs(args.spec)
+    groups = {}
+    for j, seed in enumerate(seeds):
+        # The test set depends on the seed only; a failed generation is not
+        # cached, so it fails every group of the seed.
+        test_set = functools.cache(
+            functools.partial(datasets.gen_shapes, specs, args.test_n, seed + 999983)
+        )
+        for i, n_train in enumerate(n_list):
+            groups[i, j] = _sweep_group(specs, n_train, t_list, seed, test_set, args.epsilon)
     lines = ["n,t,seed,accuracy,eps_interior_accuracy,runtime_seconds,error"]
-    for n_train in n_list:
-        groups = [
-            _sweep_group(specs, n_train, t_list, seed, args.test_n, args.epsilon)
-            for seed in seeds
-        ]
+    for i, n_train in enumerate(n_list):
         for k, t in enumerate(t_list):
-            for seed, cells in zip(seeds, groups):
-                lines.append(f"{n_train},{t},{seed},{cells[k]}")
+            for j, seed in enumerate(seeds):
+                lines.append(f"{n_train},{t},{seed},{groups[i, j][k]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: {len(lines) - 1} rows")
     return 0
 
 
-def _sweep_group(specs, n_train, t_list, seed, test_n, eps):
+def _sweep_group(specs, n_train, t_list, seed, test_set, eps):
     """The sweep cells after ``n,t,seed`` for every degree of one (N, seed).
 
     Train and test data, the fit and the eps-interior mask are shared by
     the degrees (see ``fit_degrees`` and ``evaluate_models``), so an error
-    fills every cell of the group.  Each cell reports the group's wall time
-    over ``len(t_list)``, so the runtime column still sums to the sweep time.
+    fills every cell of the group.  ``test_set()`` returns the seed's test
+    set, so the group that first calls it is timed for generating it.  Each
+    cell reports the group's wall time over ``len(t_list)``, so the runtime
+    column still sums to the sweep time.
     """
     started = time.perf_counter()
     try:
         train = datasets.gen_shapes(specs, n_train, seed)
-        test = datasets.gen_shapes(specs, test_n, seed + 999983)
+        test = test_set()
         models = classifier.fit_degrees(train, t_list)
         reports = metrics.evaluate_models(models, test, specs=specs, eps=eps)
         cells = []

@@ -258,8 +258,9 @@ def scale_to_unit_box(
     distinct value, or a box narrower than about 1e-308) is only
     recentered (scale 1), so the transform stays invertible.
     """
-    lo = dataset.points.min(axis=0)
-    hi = dataset.points.max(axis=0)
+    # One column at a time: numpy reduces the short axis of (rows, n) slowly.
+    lo = np.array([column.min() for column in dataset.points.T])
+    hi = np.array([column.max() for column in dataset.points.T])
     # Halves, so that no finite box overflows; scaling by 0.5 is exact.
     half = 0.5 * hi - 0.5 * lo
     with np.errstate(divide="ignore", over="ignore"):

@@ -1,11 +1,15 @@
 """Interpolation basis, fitting, argmax classification, and joint formulas."""
 
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from cfkit import (
+    ClassifierModel,
     DataError,
     LabeledDataset,
     REJECT_LABEL,
@@ -31,6 +35,7 @@ from cfkit import (
     joint_cf,
     joint_moment_matrix,
     make_theta,
+    moments,
     sandwich_check,
     save_model,
     scores,
@@ -38,7 +43,7 @@ from cfkit import (
     tensor_cf,
     variety_cf,
 )
-from cfkit.christoffel import inverse_scores
+from cfkit.christoffel import cf_from_inverse, inverse_scores
 from cfkit.moments import EVAL_CHUNK
 from cfkit.multiindex import basis_dimension
 from conftest import (
@@ -187,6 +192,7 @@ class TestFitDegrees:
                 ev.rank for ev in alone.evaluators
             ]
             assert model.evaluators[0].basis == alone.evaluators[0].basis
+            assert model.evaluators[0].basis == enumerate_basis(data.n, model.degree)
             shared, separate = scores_batch(model, queries), scores_batch(alone, queries)
             np.testing.assert_array_equal(shared == 0, separate == 0)
             np.testing.assert_allclose(shared, separate, rtol=1e-5, atol=0)
@@ -205,6 +211,93 @@ class TestFitDegrees:
             assert (tmp_path / "list.cfm").read_bytes() == (
                 tmp_path / "fit.cfm"
             ).read_bytes()
+
+    def test_one_pass_over_the_data(self, monkeypatch):
+        """The fit evaluates each training row once, in the largest basis.
+        The first floor read adds one pass over each class for every model
+        of the call, and later reads add none."""
+        data = gen_shapes(THREE_SHAPES, EVAL_CHUNK + 10, seed=8)
+        evaluated = []
+        real = moments.eval_monomials_batch
+
+        def counted(basis, points, **kwargs):
+            evaluated.append((basis.t, len(points)))
+            return real(basis, points, **kwargs)
+
+        monkeypatch.setattr(moments, "eval_monomials_batch", counted)
+        models = fit_degrees(data, [2, 6, 4])
+        one_pass = [(6, EVAL_CHUNK), (6, 10)] * 3
+        assert evaluated == one_pass
+        models[2].train_score_floor
+        assert evaluated == one_pass * 2
+        for model in models:
+            model.train_score_floor
+        assert evaluated == one_pass * 2
+
+    def test_floors_are_the_eager_formula(self):
+        """Each floor is, bit for bit, the 5th percentile of one scoring pass
+        of every model's evaluator over the class's scaled points, whichever
+        model is read first."""
+        data = gen_shapes(THREE_SHAPES, 700, seed=5)
+        degrees = [8, 2, 5, 2]
+        models = fit_degrees(data, degrees)
+        scaled = models[0].transform.forward(data.points)
+        expected = np.empty((len(degrees), data.m))
+        for j in range(data.m):
+            fitted = [model.evaluators[j] for model in models]
+            own = cf_from_inverse(inverse_scores(fitted, scaled[data.labels == j + 1]))
+            expected[:, j] = np.percentile(own, 5.0, axis=0)
+        for k in (2, 0, 3, 1):
+            floor = models[k].train_score_floor
+            assert floor.shape == (data.m,)
+            assert floor.tobytes() == expected[k].tobytes()
+        assert models[1].train_score_floor is not models[3].train_score_floor
+
+    def test_first_floor_read_drops_the_training_points(self):
+        data = gen_shapes(THREE_SHAPES, 200, seed=5)
+        models = fit_degrees(data, [3, 2])
+        deferred = models[0]._train_score_floor.floors
+        points = [weakref.ref(pts) for pts, _ in deferred._classes]
+        floor = models[1].train_score_floor
+        assert all(ref() is None for ref in points)
+        assert models[1].train_score_floor is floor
+        assert models[0].train_score_floor.shape == (3,)
+
+    def test_concurrent_first_reads_agree(self):
+        data = gen_shapes(THREE_SHAPES, 300, seed=9)
+        expected = [model.train_score_floor for model in fit_degrees(data, [4, 2, 3])]
+        models = fit_degrees(data, [4, 2, 3])
+        read = [None] * 8
+        threads = [
+            threading.Thread(
+                target=lambda i: read.__setitem__(i, models[i % 3].train_score_floor),
+                args=(i,),
+            )
+            for i in range(len(read))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, floor in enumerate(read):
+            assert floor.tobytes() == expected[i % 3].tobytes()
+
+    def test_explicit_floor_is_kept(self):
+        fitted = fit(hand_dataset(), degree=1)
+        parts = dict(
+            m=2, degree=1, evaluators=fitted.evaluators,
+            transform=fitted.transform, policy=fitted.policy,
+        )
+        floor = np.array([0.5, 0.25])
+        assert ClassifierModel(**parts, train_score_floor=floor).train_score_floor is floor
+        assert ClassifierModel(**parts, train_score_floor=None).train_score_floor is None
+        assert ClassifierModel(**parts).train_score_floor is None
 
     def test_fit_memory_does_not_grow_with_rows(self):
         """The basis is evaluated one row block at a time, so a class four

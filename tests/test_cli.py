@@ -709,18 +709,20 @@ class TestSweep:
         assert tables[0] == tables[1]
 
     def test_matches_per_cell_reference(self, tmp_path, spec_file):
+        """Repeated and unsorted entries of every list keep their rows."""
         specs = cli.read_shape_specs(spec_file)
+        n_list, t_list, seeds = (40, 90, 40), (4, 2, 4), (3, 1, 3)
         out = tmp_path / "sweep.csv"
         code = run(
-            "sweep", spec_file, "--n-list", "40,90", "--t-list", "4,2,4",
-            "--seeds", "3,1", "--test-n", 60, "--epsilon", 0.2, "--out", out,
+            "sweep", spec_file, "--n-list", "40,90,40", "--t-list", "4,2,4",
+            "--seeds", "3,1,3", "--test-n", 60, "--epsilon", 0.2, "--out", out,
         )
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         expected = []
-        for n in (40, 90):
-            for t in (4, 2, 4):
-                for seed in (3, 1):
+        for n in n_list:
+            for t in t_list:
+                for seed in seeds:
                     model = fit(gen_shapes(specs, n, seed), degree=t)
                     test = gen_shapes(specs, 60, seed + 999983)
                     report = evaluate_model(model, test, specs=specs, eps=0.2)
@@ -729,10 +731,13 @@ class TestSweep:
                          repr(report.eps_interior_accuracy), ""]
                     )
         assert [row[:5] + row[6:] for row in rows] == expected
-        # A (N, seed) group shares one wall time, split evenly over its cells.
+        # A (N, seed) group shares one wall time, split evenly over its cells;
+        # rows run over n, then t, then seed entries.
         runtimes = {}
-        for row in rows:
-            runtimes.setdefault((row[0], row[2]), set()).add(row[5])
+        for index, row in enumerate(rows):
+            i, rest = divmod(index, len(t_list) * len(seeds))
+            runtimes.setdefault((i, rest % len(seeds)), set()).add(row[5])
+        assert len(runtimes) == len(n_list) * len(seeds)
         assert all(len(values) == 1 for values in runtimes.values())
 
     def test_shared_error_fills_the_group(self, tmp_path):
