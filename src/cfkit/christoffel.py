@@ -25,7 +25,9 @@ holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
 inverse square roots of their eigenvalues, then an orthonormal basis D of
 the complement of their span, derived from E alone.  With Y = V W, the
 row sums of the first ``rank`` squared columns are q, and the remaining
-columns hold the projection of v(x) off the retained eigenspace.
+columns hold the projection of v(x) off the retained eigenspace.  V and
+Y are column-major, the layout in which BLAS writes Y fastest, and the
+row sums go to contiguous memory before they are stored in a score column.
 """
 
 from __future__ import annotations
@@ -175,11 +177,13 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     a leading block of the largest one, as the bases of one kind at several
     degrees are; any other basis raises ValueError.  The largest basis is
     evaluated once per row chunk, and each evaluator scores the chunk's
-    leading columns of its own basis size.  Points off an evaluator's
-    retained eigenspace get ``inf`` in its column.  So do points so far
-    out that their basis values or scores overflow: a q that is not
-    finite is reported as ``inf``, without floating-point warnings, and
-    every other row is computed exactly as it would be without them.
+    leading columns of its own basis size, writing its product into the
+    column-major ``spare`` of :func:`moments.basis_blocks`.  The result is
+    C-ordered.  Points off an evaluator's retained eigenspace get ``inf``
+    in its column.  So do points so far out that their basis values or
+    scores overflow: a q that is not finite is reported as ``inf``,
+    without floating-point warnings, and every other row is computed
+    exactly as it would be without them.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -199,11 +203,13 @@ def inverse_scores(evaluators, points) -> np.ndarray:
                     norms[s] = np.einsum("ij,ij->i", values[:, :s], values[:, :s])
                 Y = np.matmul(values[:, :s], ev.scoring, out=spare[:, :s])
                 kept, off = Y[:, :rank], Y[:, rank:]
-                np.einsum("ij,ij->i", kept, kept, out=q[block, k])
+                # Row sums go to contiguous memory, then to q's strided
+                # column: twice as fast as summing into the column.
+                sums = np.einsum("ij,ij->i", kept, kept)
                 if rank < s:
                     # Squared norms on both sides: no square root per row.
-                    off_range = np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norms[s]
-                    q[block, k][off_range] = np.inf
+                    sums[np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norms[s]] = np.inf
+                q[block, k] = sums
             # Per block, so the mask is no larger than the other working arrays.
             chunk = q[block]
             chunk[~np.isfinite(chunk)] = np.inf

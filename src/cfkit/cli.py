@@ -258,13 +258,13 @@ def cmd_sweep(args):
     specs = read_shape_specs(args.spec)
     groups = {}
     for j, seed in enumerate(seeds):
-        # The test set depends on the seed only; a failed generation is not
-        # cached, so it fails every group of the seed.
+        # The test set and its mask depend on the seed only; a failed
+        # generation is not cached, so it fails every group of the seed.
         test_set = functools.cache(
-            functools.partial(datasets.gen_shapes, specs, args.test_n, seed + 999983)
+            functools.partial(_sweep_test_set, specs, args.test_n, seed, args.epsilon)
         )
         for i, n_train in enumerate(n_list):
-            groups[i, j] = _sweep_group(specs, n_train, t_list, seed, test_set, args.epsilon)
+            groups[i, j] = _sweep_group(specs, n_train, t_list, seed, test_set)
     lines = ["n,t,seed,accuracy,eps_interior_accuracy,runtime_seconds,error"]
     for i, n_train in enumerate(n_list):
         for k, t in enumerate(t_list):
@@ -275,22 +275,28 @@ def cmd_sweep(args):
     return 0
 
 
-def _sweep_group(specs, n_train, t_list, seed, test_set, eps):
+def _sweep_test_set(specs, test_n, seed, eps):
+    """A sweep seed's test set and its eps-interior mask."""
+    test = datasets.gen_shapes(specs, test_n, seed + 999983)
+    return test, datasets.epsilon_interior_mask(test.points, specs, eps, test.labels)
+
+
+def _sweep_group(specs, n_train, t_list, seed, test_set):
     """The sweep cells after ``n,t,seed`` for every degree of one (N, seed).
 
-    Train and test data, the fit and the eps-interior mask are shared by
-    the degrees (see ``fit_degrees`` and ``evaluate_models``), so an error
-    fills every cell of the group.  ``test_set()`` returns the seed's test
-    set, so the group that first calls it is timed for generating it.  Each
-    cell reports the group's wall time over ``len(t_list)``, so the runtime
-    column still sums to the sweep time.
+    Train and test data and the fit are shared by the degrees (see
+    ``fit_degrees`` and ``metrics.masked_reports``), so an error fills
+    every cell of the group.  ``test_set()`` returns the seed's test set
+    and eps-interior mask, so the group that first calls it is timed for
+    computing them.  Each cell reports the group's wall time over
+    ``len(t_list)``, so the runtime column still sums to the sweep time.
     """
     started = time.perf_counter()
     try:
         train = datasets.gen_shapes(specs, n_train, seed)
-        test = test_set()
+        test, mask = test_set()
         models = classifier.fit_degrees(train, t_list)
-        reports = metrics.evaluate_models(models, test, specs=specs, eps=eps)
+        reports = metrics.masked_reports(models, test, mask)
         cells = []
         for r in reports:
             eps_acc = "" if r.eps_interior_accuracy is None else repr(r.eps_interior_accuracy)

@@ -73,18 +73,32 @@ def evaluate_models(
     models of one ``fit_degrees`` call evaluate each test row in the basis
     once.
     """
+    _check_class_counts(models, dataset)
+    mask = None
+    if specs is not None and eps is not None:
+        mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
+    return masked_reports(models, dataset, mask)
+
+
+def masked_reports(
+    models: list[ClassifierModel], dataset: LabeledDataset, mask: np.ndarray | None
+) -> list[MetricsReport]:
+    """:func:`evaluate_models` with the eps-interior ``mask`` of the dataset
+    given (None for no eps-interior figures), for callers that evaluate
+    several model sets on one test set."""
+    _check_class_counts(models, dataset)
+    predicted = classify_batches(models, dataset.points)
+    return [
+        _report(model, labels, dataset, mask) for model, labels in zip(models, predicted)
+    ]
+
+
+def _check_class_counts(models, dataset):
     for model in models:
         if dataset.m > model.m:
             raise DataError(
                 f"test labels go up to {dataset.m} but the model has {model.m} classes"
             )
-    mask = None
-    if specs is not None and eps is not None:
-        mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
-    predicted = classify_batches(models, dataset.points)
-    return [
-        _report(model, labels, dataset, mask) for model, labels in zip(models, predicted)
-    ]
 
 
 def _report(model, predicted, dataset, mask):

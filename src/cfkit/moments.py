@@ -43,20 +43,26 @@ def basis_blocks(basis: MonomialBasis, points: np.ndarray):
     """The basis values of ``points``, one ``row_blocks`` block at a time.
 
     Yields ``(block, values, spare)`` for each block: ``values`` holds the
-    block's basis values, shape (rows, basis.size) and column-major, and
-    ``spare`` is a row-major array of that shape for the caller's product.
+    block's basis values, shape (rows, basis.size), and ``spare`` is an
+    array of that shape for the caller's product.  Both are contiguous and
+    column-major, the layout the recurrence writes fastest and that
+    OpenBLAS fills fastest as a product's output (a 4096-row block times a
+    91 x 91 matrix: 1.5 ms column-major, 2.1 ms row-major, with the same
+    bits).  A short last block is contiguous too, so that numpy buffers
+    only the coordinate of each multiply in :func:`eval_monomials_batch`,
+    not its blocks of parent and output columns.
     Both are rewritten at the next block.  They come from one allocation
     per call, in place of fresh arrays per block, which also keeps glibc
     from returning the memory to the system after each call: freeing a
     chunk this large raises its trim threshold to twice the chunk, so the
     next call reuses the pages instead of faulting them in again.
     """
-    work = np.empty((2, basis.size, min(EVAL_CHUNK, points.shape[0])))
-    spare = work[1].reshape(-1, basis.size)
+    work = np.empty((2, basis.size * min(EVAL_CHUNK, points.shape[0])))
     for block in row_blocks(points.shape[0]):
-        rows = block.stop - block.start
-        values = eval_monomials_batch(basis, points[block], out=work[0, :, :rows].T)
-        yield block, values, spare[:rows]
+        used = basis.size * (block.stop - block.start)
+        values = work[0, :used].reshape(basis.size, -1).T
+        eval_monomials_batch(basis, points[block], out=values)
+        yield block, values, work[1, :used].reshape(basis.size, -1).T
 
 
 @dataclass

@@ -16,7 +16,8 @@ relied upon everywhere a moment matrix is indexed by a basis.
 
 Every basis kind is downward closed and graded, so each monomial other
 than the constant is an earlier monomial times one variable.  Evaluation
-follows that recurrence, one multiply per basis entry and point.
+follows that recurrence, one multiply per basis entry and point, issued
+one run of entries at a time (see :attr:`MonomialBasis.runs`).
 """
 
 from __future__ import annotations
@@ -125,6 +126,29 @@ class MonomialBasis:
             expo[a, self.variables[a]] += 1
         return expo
 
+    @cached_property
+    def runs(self) -> tuple[tuple[slice, slice, int], ...]:
+        """The recurrence in maximal runs, ``(entries, parents, variable)``.
+
+        A run is a stretch of entries that share a variable and have
+        consecutive parents, all of which precede the run's first entry,
+        so one multiply of the parents' values by the variable fills it.
+        Entry 0, the constant, is in no run.  Derived on first read.
+        """
+        parents, variables = self.parents.tolist(), self.variables.tolist()
+        runs, start = [], 1
+        for a in range(2, self.size + 1):
+            if (
+                a == self.size
+                or variables[a] != variables[start]
+                or parents[a] != parents[a - 1] + 1
+                or parents[a] >= start
+            ):
+                first = parents[start]
+                runs.append((slice(start, a), slice(first, first + a - start), variables[start]))
+                start = a
+        return tuple(runs)
+
     def index_tuples(self) -> list[tuple[int, ...]]:
         """The ordered exponent tuples, for inspection and tests."""
         return [tuple(int(e) for e in row) for row in self.exponents]
@@ -191,9 +215,15 @@ def eval_monomials_batch(basis: MonomialBasis, points, out=None) -> np.ndarray:
 
     Returns an array of shape (len(points), basis.size).  Entry a is
     computed as v_a = v_parent * x_var (see :class:`MonomialBasis`), one
-    pass over the basis per batch of points.  ``out``, if given, is the
-    float64 array of that shape to fill and return; column-major is the
-    layout the recurrence writes fastest, and the one it allocates.
+    pass over the basis per batch of points and one ``np.multiply`` per
+    run of :attr:`MonomialBasis.runs`: at n = 2, t = 12 that is 24 calls
+    for 91 entries.  Each value is the same single product as entry by
+    entry, so the bits do not depend on the runs.  A run's coordinate is
+    read from ``points`` in place and broadcast over its rows, which numpy
+    does through an iterator buffer of at most 64 KiB per call (more if
+    ``out`` is not contiguous).  ``out``, if given, is the float64 array of
+    that shape to fill and return; column-major is the layout the
+    recurrence writes fastest, and the one it allocates.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != basis.nvars:
@@ -203,13 +233,10 @@ def eval_monomials_batch(basis: MonomialBasis, points, out=None) -> np.ndarray:
         )
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite coordinates")
-    coords = np.ascontiguousarray(pts.T)
     if out is None:
         out = np.empty((basis.size, pts.shape[0])).T
     columns = out.T
     columns[0] = 1.0
-    for i, (parent, var) in enumerate(
-        zip(basis.parents[1:].tolist(), basis.variables[1:].tolist()), start=1
-    ):
-        np.multiply(columns[parent], coords[var], out=columns[i])
+    for entries, parents, var in basis.runs:
+        np.multiply(columns[parents], pts[:, var], out=columns[entries])
     return out

@@ -26,11 +26,19 @@ _MAGIC = b"CFKIT-MODEL 1\n"
 
 
 def save_model(model: ClassifierModel, path, metadata: dict | None = None) -> None:
-    """Serialize a fitted model; ``metadata`` lands in the header as-is."""
+    """Serialize a fitted model; ``metadata`` lands in the header as-is.
+
+    The model must carry its training-score floors, as every model from
+    ``fit`` does; one without them raises ValueError before any file is
+    opened, since :func:`load_model` could not read it back.
+    """
+    floor = model.train_score_floor
+    if floor is None:
+        raise ValueError("model has no train_score_floor to save")
     arrays: list[tuple[str, np.ndarray]] = [
         ("transform_center", model.transform.center),
         ("transform_scale", model.transform.scale),
-        ("train_score_floor", model.train_score_floor),
+        ("train_score_floor", floor),
     ]
     classes = []
     for k, ev in enumerate(model.evaluators, start=1):

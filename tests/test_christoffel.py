@@ -22,6 +22,7 @@ from cfkit import (
     variational_eval,
 )
 from cfkit.christoffel import OFF_RANGE_TOL, inverse_scores
+from cfkit.moments import EVAL_CHUNK
 from cfkit.multiindex import MonomialBasis
 from conftest import chunk_crossing_queries, random_measure
 
@@ -153,8 +154,37 @@ def two_product_inverse_scores(ev, values):
     return q
 
 
+@pytest.fixture(scope="module")
+def box_and_disk():
+    """3000 points filling [-1, 1]^2 and 3000 in the disk of radius 0.5 at 0,
+    and queries in the box: one full scoring block and part of a second."""
+    rng = np.random.default_rng(5)
+    box = rng.uniform(-1.0, 1.0, size=(3000, 2))
+    radius, angle = 0.5 * np.sqrt(rng.uniform(size=3000)), rng.uniform(0, 2 * np.pi, 3000)
+    disk = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    return box, disk, rng.uniform(-1.0, 1.0, size=(EVAL_CHUNK + 901, 2))
+
+
 class TestScoringKernel:
     """One product V W per chunk, W = [E / sqrt(lambda) | D]."""
+
+    @pytest.mark.parametrize("degree", [8, 12])
+    def test_matches_two_product_reference_at_high_degree(self, box_and_disk, degree):
+        # The box is full rank and every query is on range for it; the disk
+        # is rank-deficient and every query is off range for it.
+        box, disk, queries = box_and_disk
+        basis = enumerate_basis(2, degree)
+        values = eval_monomials_batch(basis, queries)
+        seen = []  # (full rank, rows on range) per class
+        for points in (box, disk):
+            ev = build_evaluator(empirical_moment_matrix(uniform_measure(points), basis))
+            got = inverse_scores([ev], queries)[:, 0]
+            expected = two_product_inverse_scores(ev, values)
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(expected))
+            on = np.isfinite(expected)
+            np.testing.assert_allclose(got[on], expected[on], rtol=1e-11)
+            seen.append((ev.rank == basis.size, int(on.sum())))
+        assert seen == [(True, queries.shape[0]), (False, 0)]
 
     def test_matches_two_product_reference(self, rank_deficient):
         _, model = rank_deficient

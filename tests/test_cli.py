@@ -18,6 +18,7 @@ from cfkit import (
     gen_shapes,
     load_metadata,
     load_model,
+    metrics,
     persist,
     read_csv,
     scores_batch,
@@ -740,6 +741,23 @@ class TestSweep:
         assert len(runtimes) == len(n_list) * len(seeds)
         assert all(len(values) == 1 for values in runtimes.values())
 
+    def test_one_mask_per_seed_entry(self, tmp_path, spec_file, monkeypatch):
+        calls = []
+        real = datasets.epsilon_interior_mask
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "epsilon_interior_mask", counting)
+        monkeypatch.setattr(metrics, "epsilon_interior_mask", counting)
+        code = run(
+            "sweep", spec_file, "--n-list", "40,90,40", "--t-list", "4,2",
+            "--seeds", "3,1,3", "--test-n", 60, "--out", tmp_path / "sweep.csv",
+        )
+        assert code == 0
+        assert len(calls) == 3
+
     def test_shared_error_fills_the_group(self, tmp_path):
         spec = tmp_path / "gap.spec"
         spec.write_text(
@@ -831,10 +849,10 @@ def test_report_lines_parse_as_numbers(tmp_path, spec_file, capsys):
 PINNED_DIGESTS = {
     "train.csv": "4c364c89478918a02876d99a381e055dc743e83d06f54ece84cb9ccacc6e9a63",
     "test.csv": "a465941655e1a9b2e8c388acc4c7625f2539f099b599bcb2b0a665d318c5a31e",
-    "model.cfm": "e866613404624ea19ae610aa9458117a8d61aa4f8f733d3bab65cc3c899d3c8a",
-    "predict.csv": "e3e02773955474f0eb3d053ec439bb56b98b4a16f50c05e9bf586c8c91228eeb",
+    "model.cfm": "5662385df4e88ecc3f2b3faaf1e5bd5061337c3de744379c12ea0617af39d6d0",
+    "predict.csv": "2e8c6522bc436870c3bd7d4a087c25b86f5eec252097249a6012fa1a3d7eb03f",
     "report.txt": "592a28f065031777256c150b67cf69ab711d7255e7064d088dcb09c5b2f63a6b",
-    "grid.csv": "e96dee232fed3747b56ec3623d87d0a643d44e0decde60e7ef6c2e54aa9358fe",
+    "grid.csv": "d2c4f60caad142f90e4a786d54fb178b0aab16dcf3ad09f25e55c5901092cf67",
 }
 
 
@@ -861,34 +879,56 @@ def test_pinned_output_bytes(tmp_path, spec_file):
     assert digests == PINNED_DIGESTS
 
 
+def run_with_blas_threads(threads, *argv):
+    """Run the CLI in a fresh interpreter, because OpenBLAS reads its thread
+    count at load time."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": threads,
+        "OMP_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from cfkit.cli import main; sys.exit(main())",
+         *map(str, argv)],
+        env=env, check=True, capture_output=True,
+    )
+
+
 def test_model_bytes_do_not_depend_on_blas_threads(tmp_path, spec_file):
     """``train`` writes the same model bytes with one BLAS thread and with two.
 
-    Each run is a fresh interpreter, because OpenBLAS reads its thread count
-    at load time.  A Gram summed by a general matrix product differs in its
-    last bits between the two at this size and degree (50 or 200 points per
-    class do not show it).  On a machine with one CPU, OpenBLAS runs one
-    thread either way, so there the test cannot fail.
+    A Gram summed by a general matrix product differs in its last bits
+    between the two at this size and degree (50 or 200 points per class do
+    not show it).  On a machine with one CPU, OpenBLAS runs one thread
+    either way, so there the test cannot fail.
     """
     data = tmp_path / "train.csv"
     assert run("synth", spec_file, "--n", 500, "--seed", 1, "--out", data) == 0
-    src = str(Path(cli.__file__).parents[1])
     models = []
     for threads in ("1", "2"):
         model = tmp_path / f"model-{threads}.cfm"
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        }
-        subprocess.run(
-            [sys.executable, "-c", "import sys; from cfkit.cli import main; sys.exit(main())",
-             "train", str(data), "--degree", "8", "--out", str(model)],
-            env=env, check=True, capture_output=True,
-        )
+        run_with_blas_threads(threads, "train", data, "--degree", 8, "--out", model)
         models.append(model.read_bytes())
     assert models[0] == models[1]
+
+
+def test_scores_do_not_depend_on_blas_threads(tmp_path, spec_file):
+    """``predict`` and ``levelset`` write the same bytes with one BLAS thread
+    and with two.  With 2500 points per class the queries fill a 4096-row
+    block, large enough for OpenBLAS to split the scoring product."""
+    data, model = tmp_path / "train.csv", tmp_path / "model.cfm"
+    assert run("synth", spec_file, "--n", 2500, "--seed", 1, "--out", data) == 0
+    assert run("train", data, "--degree", 8, "--out", model) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        predicted, grid = tmp_path / f"predict-{threads}.csv", tmp_path / f"grid-{threads}.csv"
+        run_with_blas_threads(threads, "predict", model, data, "--out", predicted)
+        run_with_blas_threads(threads, "levelset", model, "--bounds=-3.2:3.2,-1.2:1.2",
+                              "--grid-res", 70, "--out", grid)
+        outputs.append((predicted.read_bytes(), grid.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # Every flag value the parser rejects: (subcommand and its positional

@@ -296,6 +296,8 @@ class TestBasisBlocks:
             stops.append(block.stop)
             expected = eval_monomials_batch(basis, points[block])
             assert values.shape == spare.shape == expected.shape
+            # Both column-major: the rows of a column are adjacent.
+            assert values.strides[0] == spare.strides[0] == values.itemsize
             assert values.tobytes() == expected.tobytes()
             bases.update((id(values.base), id(spare.base)))
         assert stops == [0, EVAL_CHUNK, 2 * EVAL_CHUNK, 2 * EVAL_CHUNK + 5]

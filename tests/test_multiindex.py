@@ -44,6 +44,16 @@ def graded_descending_lex(rows):
     return sorted(rows, key=lambda e: (sum(e), [-x for x in e]))
 
 
+# Query rows for evaluation checks: more than one SIMD width, fewer than a block.
+EVAL_ROWS = 37
+
+# 1, x, y, x^2, y^2, x^2 y, y^3, x^2 y^2: entries 4-7 share y and have
+# parents 2-5, but 4 and 5 are parents of 6 and 7, so they make two runs.
+SPLIT_RUNS = MonomialBasis(
+    2, 4, "plain", None, parents=[0, 0, 0, 1, 2, 3, 4, 5], variables=[0, 0, 1, 0, 1, 1, 1, 1]
+)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("t", range(6))
 def test_every_kind_lists_the_sorted_product(n, t):
@@ -247,6 +257,45 @@ class TestEvalMonomials:
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
             np.testing.assert_array_equal(got == 0, expected == 0)
             assert got[0, 0] == 1.0 and not got[0, 1:].any()
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            enumerate_basis(1, 7),
+            enumerate_basis(2, 12),
+            enumerate_basis(4, 5),
+            enumerate_variety_basis(1, 6, 3),
+            enumerate_variety_basis(3, 4, 2),
+            enumerate_tensor_basis(1, 5, 3),
+            enumerate_tensor_basis(2, 4, 3),
+            SPLIT_RUNS,
+        ],
+        ids=lambda b: f"{b.kind}-n{b.n}-t{b.t}-m{b.m}-size{b.size}",
+    )
+    def test_runs_match_one_entry_per_step(self, rng, basis):
+        pts = rng.uniform(-1.5, 1.5, size=(EVAL_ROWS, basis.nvars))
+        pts[0], pts[1, -1] = -0.0, 0.0  # the sign of a zero product must match too
+        columns = np.empty((basis.size, EVAL_ROWS))
+        columns[0] = 1.0
+        for a in range(1, basis.size):
+            columns[a] = columns[basis.parents[a]] * pts[:, basis.variables[a]]
+        assert eval_monomials_batch(basis, pts).tobytes(order="F") == columns.tobytes()
+        covered = []
+        for entries, parents, var in basis.runs:
+            assert parents.stop <= entries.start  # no run reads its own output
+            np.testing.assert_array_equal(basis.parents[entries], np.arange(parents.start, parents.stop))
+            assert set(basis.variables[entries].tolist()) == {var}
+            covered += range(entries.start, entries.stop)
+        assert covered == list(range(1, basis.size))
+
+    def test_runs_per_basis(self):
+        # One multiply per run instead of one per entry.
+        assert [len(enumerate_basis(n, t).runs) for n, t in ((2, 8), (2, 12), (3, 8))] == [
+            16, 24, 80
+        ]
+        assert len(enumerate_basis(1, 9).runs) == 9
+        runs = [(e.start, e.stop) for e, _, _ in SPLIT_RUNS.runs]
+        assert runs == [(1, 2), (2, 3), (3, 4), (4, 6), (6, 8)]
 
     def test_basis_must_be_downward_closed(self):
         # A parent that is not earlier, a negative parent, a variable >= nvars.

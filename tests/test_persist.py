@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfkit import (
+    ClassifierModel,
     DataError,
     ThresholdPolicy,
     fit,
@@ -107,6 +108,19 @@ class TestDeterminism:
 
 
 class TestErrors:
+    def test_model_without_floor_is_not_saved(self, rng, tmp_path):
+        fitted = fitted_model(rng)
+        model = ClassifierModel(fitted.m, fitted.degree, fitted.evaluators,
+                                fitted.transform, fitted.policy)
+        assert model.train_score_floor is None
+        path = tmp_path / "model.cfm"
+        with pytest.raises(ValueError, match="train_score_floor"):
+            save_model(model, path)
+        assert not path.exists()
+        # The same evaluators with the floors that fit computed save and load.
+        save_model(fitted, path)
+        np.testing.assert_array_equal(load_model(path).train_score_floor, fitted.train_score_floor)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.cfm"
         path.write_bytes(b"not a model")
