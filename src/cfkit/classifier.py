@@ -15,10 +15,10 @@ pointwise ordering that relates them.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .christoffel import (
     as_row,
     build_evaluator,
     cf_from_inverse,
+    eval_cf_batch,
     eval_cf_inverse_batch,
     inverse_scores,
 )
@@ -78,54 +79,20 @@ def make_theta(m: int) -> InterpolationBasis:
     return InterpolationBasis(m=m)
 
 
-class _DeferredFloors:
-    """The 5% training score floors of the models of one :func:`fit_degrees` call.
-
-    Holds each class's scaled training points and its evaluators, one per
-    model, until the first read of any model's floor.  That read runs one
-    :func:`inverse_scores` pass over each class's own points for all the
-    models, takes each model's 5th percentile, and drops the points.
-    """
-
-    def __init__(self, classes: list[tuple[np.ndarray, list[ChristoffelEvaluator]]]):
-        self._classes = classes
-        self._floors = None
-
-    def floor(self, k: int) -> np.ndarray:
-        # Read before the test: _floors is set before _classes is dropped, so
-        # a concurrent first read either sees the floors or computes its own.
-        classes = self._classes
-        if self._floors is None:
-            floors = [np.empty(len(classes)) for _ in classes[0][1]]
-            for j, (points, fitted) in enumerate(classes):
-                own = cf_from_inverse(inverse_scores(fitted, points))
-                for i, floor in enumerate(floors):
-                    floor[j] = np.percentile(own[:, i], 5.0)
-            self._floors = floors
-            self._classes = None
-        return self._floors[k]
-
-
-class _FloorOf(NamedTuple):
-    """Model ``k``'s entry of a :class:`_DeferredFloors`."""
-
-    floors: _DeferredFloors
-    k: int
-
-
 class _TrainScoreFloor:
     """The ``train_score_floor`` field of :class:`ClassifierModel`.
 
     Holds an ``(m,)`` array or None, or, from :func:`fit_degrees`, a
-    :class:`_FloorOf` that the first read replaces with the model's array.
+    zero-argument function that the first read calls and replaces with
+    the array it returns.
     """
 
     def __get__(self, model, owner=None):
         if model is None:
             return None  # the dataclass default
         value = model._train_score_floor
-        if isinstance(value, _FloorOf):
-            value = model._train_score_floor = value.floors.floor(value.k)
+        if callable(value):
+            value = model._train_score_floor = value()
         return value
 
     def __set__(self, model, value):
@@ -137,8 +104,8 @@ class ClassifierModel:
     """Per-class Christoffel evaluators plus the shared input transform.
 
     ``train_score_floor`` holds each class's 5th percentile of the scores
-    of its own training points, or None.  :func:`fit_degrees` computes it
-    on its first read.
+    of its own training points, or None.  A model from :func:`fit_degrees`
+    computes it on its first read.
     """
 
     m: int
@@ -180,7 +147,8 @@ def fit(
     pass ``scale=False`` to work in the raw coordinates.  With ``degree``
     unset a conservative default is derived from the class sizes.  This
     is the one-degree case of :func:`fit_degrees`: one pass over the data,
-    and ``train_score_floor`` is computed on its first read.
+    and ``train_score_floor`` is computed on its first read, by one more
+    pass over each class's points.
     """
     if degree is None:
         degree = default_degree(dataset)
@@ -205,15 +173,15 @@ def fit_degrees(
     the class size.  The basis is graded, so the degree-t basis is the
     leading ``s_t`` entries of it and the degree-t moment matrix is the
     leading ``s_t x s_t`` block.  Each entry gets its own evaluators from
-    those.  The 5% training score floors are computed on the first read
-    of any entry's ``train_score_floor``, for every entry at once: one
-    :func:`inverse_scores` pass over each class's points scores every
-    entry's evaluator on the leading columns of the same basis values.
-    Duplicate and unsorted entries are kept in order.  A one-degree call
-    is the same arithmetic as a fit at that degree.  The blocks can differ
-    from a separate assembly at degree t in the last bits (the matrix
-    product sums in a shape-dependent order).  Other arguments are as in
-    :func:`fit`.
+    those.  Each entry computes its own 5% training score floors on the
+    first read of its ``train_score_floor``: one scoring pass over each
+    class's scaled points in that entry's basis.  The entry then drops its
+    reference to the points, so they are freed once every entry has read
+    its floors or been dropped.  Duplicate and unsorted entries are kept
+    in order.  A one-degree call is the same arithmetic as a fit at that
+    degree.  The blocks can differ from a separate assembly at degree t in
+    the last bits (the matrix product sums in a shape-dependent order).
+    Other arguments are as in :func:`fit`.
     """
     degrees = list(degrees)
     if not degrees:
@@ -231,7 +199,8 @@ def fit_degrees(
     top = enumerate_basis(dataset.n, max(degrees))
     bases = {t: _leading_basis(top, t) for t in set(degrees)}
     measures = class_split(scaled, class_prior_weights=class_prior_weights)
-    classes = []
+    evaluators = [[] for _ in degrees]
+    points = []
     for label, measure in enumerate(measures, start=1):
         if measure.points.shape[0] > 1 and np.all(
             measure.points == measure.points[0]
@@ -241,26 +210,31 @@ def fit_degrees(
                 stacklevel=2,
             )
         gram = empirical_moment_matrix(measure, top).entries
-        fitted = []
-        for t in degrees:
+        for k, t in enumerate(degrees):
             s = bases[t].size
             block = MomentMatrix(bases[t], gram[:s, :s], measure.mass)
-            fitted.append(build_evaluator(block, policy))
-        classes.append((measure.points, fitted))
-    floors = _DeferredFloors(classes)
+            evaluators[k].append(build_evaluator(block, policy))
+        points.append(measure.points)
     return [
         ClassifierModel(
             m=dataset.m,
             degree=t,
-            evaluators=[fitted[k] for _, fitted in classes],
+            evaluators=evaluators[k],
             transform=transform,
             policy=policy,
             class_prior_weights=class_prior_weights,
             reject_threshold=reject_threshold,
-            train_score_floor=_FloorOf(floors, k),
+            train_score_floor=functools.partial(_own_floors, evaluators[k], points),
         )
         for k, t in enumerate(degrees)
     ]
+
+
+def _own_floors(evaluators: list[ChristoffelEvaluator], points: list[np.ndarray]) -> np.ndarray:
+    """Each class's 5th percentile of the scores of its own training points."""
+    return np.array(
+        [np.percentile(eval_cf_batch(ev, pts), 5.0) for ev, pts in zip(evaluators, points)]
+    )
 
 
 def _leading_basis(basis: MonomialBasis, t: int) -> MonomialBasis:

@@ -6,7 +6,8 @@ same dataset byte for byte.  Disks and annuli are sampled by rejection
 from their bounding box, which keeps the distribution exactly uniform.
 
 CSV schema: a single header row ``x1,...,xn,label`` with the label column
-last, labels being integers >= 1; no comment lines; ASCII only.  Floats
+last, labels being integers >= 1; no comment lines; ASCII only.  Lines end
+at ``\n``, ``\r\n`` or ``\r``, and at no other character.  Floats
 are written with shortest round-trip precision, so write followed by read
 is lossless.  Every numeric CSV table the package writes goes through
 :func:`write_table`, which formats each distinct value of a column once
@@ -368,11 +369,24 @@ def read_ascii_lines(path) -> list[str]:
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
-        # Number lines as splitlines does; the appended stand-in for the bad
-        # byte puts it on a new line when a line break comes right before it.
-        lineno = len((raw[: exc.start].decode("ascii") + "?").splitlines())
+        # The appended stand-in for the bad byte puts it on a new line when
+        # a line break comes right before it.
+        lineno = len(_split_lines(raw[: exc.start].decode("ascii") + "?"))
         raise DataError(f"{path}: line {lineno}: non-ASCII byte") from None
-    return text.splitlines()
+    return _split_lines(text)
+
+
+def _split_lines(text: str) -> list[str]:
+    r"""Lines ended by ``\n``, ``\r\n`` or ``\r``; a final line break ends the
+    last line.  Unlike ``str.splitlines``, this keeps ``\v``, ``\f`` and
+    ``\x1c``-``\x1e`` in their line; ``float`` reads ``\v`` and ``\f`` as
+    white space and rejects the others."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _read_rows(path, require_label):

@@ -214,8 +214,8 @@ class TestFitDegrees:
 
     def test_one_pass_over_the_data(self, monkeypatch):
         """The fit evaluates each training row once, in the largest basis.
-        The first floor read adds one pass over each class for every model
-        of the call, and later reads add none."""
+        A model's first floor read adds one pass over each class in its own
+        basis, and a second read adds none."""
         data = gen_shapes(THREE_SHAPES, EVAL_CHUNK + 10, seed=8)
         evaluated = []
         real = moments.eval_monomials_batch
@@ -229,17 +229,17 @@ class TestFitDegrees:
         one_pass = [(6, EVAL_CHUNK), (6, 10)] * 3
         assert evaluated == one_pass
         models[2].train_score_floor
-        assert evaluated == one_pass * 2
-        for model in models:
-            model.train_score_floor
-        assert evaluated == one_pass * 2
+        own_pass = [(4, EVAL_CHUNK), (4, 10)] * 3
+        assert evaluated == one_pass + own_pass
+        models[2].train_score_floor
+        assert evaluated == one_pass + own_pass
 
     def test_floors_are_the_eager_formula(self):
         """Each floor is, bit for bit, the 5th percentile of one scoring pass
         of every model's evaluator over the class's scaled points, whichever
         model is read first."""
         data = gen_shapes(THREE_SHAPES, 700, seed=5)
-        degrees = [8, 2, 5, 2]
+        degrees = [8, 2, 12, 5, 2]
         models = fit_degrees(data, degrees)
         scaled = models[0].transform.forward(data.points)
         expected = np.empty((len(degrees), data.m))
@@ -247,21 +247,21 @@ class TestFitDegrees:
             fitted = [model.evaluators[j] for model in models]
             own = cf_from_inverse(inverse_scores(fitted, scaled[data.labels == j + 1]))
             expected[:, j] = np.percentile(own, 5.0, axis=0)
-        for k in (2, 0, 3, 1):
+        for k in (2, 0, 4, 3, 1):
             floor = models[k].train_score_floor
             assert floor.shape == (data.m,)
             assert floor.tobytes() == expected[k].tobytes()
-        assert models[1].train_score_floor is not models[3].train_score_floor
+        assert models[1].train_score_floor is not models[4].train_score_floor
 
     def test_first_floor_read_drops_the_training_points(self):
         data = gen_shapes(THREE_SHAPES, 200, seed=5)
         models = fit_degrees(data, [3, 2])
-        deferred = models[0]._train_score_floor.floors
-        points = [weakref.ref(pts) for pts, _ in deferred._classes]
+        points = [weakref.ref(pts) for pts in models[0]._train_score_floor.args[1]]
         floor = models[1].train_score_floor
-        assert all(ref() is None for ref in points)
+        assert all(ref() is not None for ref in points)
         assert models[1].train_score_floor is floor
         assert models[0].train_score_floor.shape == (3,)
+        assert all(ref() is None for ref in points)
 
     def test_concurrent_first_reads_agree(self):
         data = gen_shapes(THREE_SHAPES, 300, seed=9)

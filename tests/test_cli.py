@@ -223,6 +223,11 @@ class TestTrain:
         assert run("train", data, "--out", tmp_path / "m.cfm") == 3
         assert f"{data}: line 3: non-finite coordinate" in capsys.readouterr().err
 
+    def test_form_feed_in_a_cell_trains(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.5,1\n\f0.25,1\n1,2\n1.25,\f2\n")
+        assert run("train", data, "--degree", 1, "--out", tmp_path / "m.cfm") == 0
+
     def test_non_ascii_csv(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_bytes(b"\xef\xbb\xbfx1,label\n0.5,1\n0.25,2\n")

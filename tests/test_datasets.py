@@ -353,6 +353,27 @@ class TestCsv:
         with pytest.raises(DataError, match=message):
             reader(path)
 
+    def test_non_ascii_byte_after_a_form_feed_reports_its_line(self, tmp_path):
+        path = tmp_path / "accent.csv"
+        path.write_bytes("x1,label\n\f0.5,1\n0.25,2\u00e9\n".encode("utf-8"))
+        message = re.escape(f"{path}: line 3: non-ASCII byte")
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+
+    def test_form_feed_and_vertical_tab_stay_in_their_line(self, tmp_path):
+        path = tmp_path / "ff.csv"
+        path.write_text("x1,x2,label\n0.5,0.5,1\n1,\f1,2\n\v0.25,0.5,1\n")
+        data = read_csv(path)
+        np.testing.assert_array_equal(data.points, [[0.5, 0.5], [1.0, 1.0], [0.25, 0.5]])
+        np.testing.assert_array_equal(data.labels, [1, 2, 1])
+
+    def test_error_after_a_form_feed_names_its_line(self, tmp_path):
+        path = tmp_path / "ff.csv"
+        path.write_text("x1,x2,label\n0.5,\f0.5,1\n1,1\n")
+        message = re.escape(f"{path}: line 3: expected 3 cells, got 2")
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+
     @pytest.mark.parametrize("reader", [read_csv, read_points_csv])
     def test_byte_order_mark_reports_line_one(self, tmp_path, reader):
         path = tmp_path / "bom.csv"
@@ -370,6 +391,8 @@ READER_CASES = {
     "blank-before-error": ("x1,x2,label\n0.5,0.5,1\n\n \n0.5,bad,1\n", True, False),
     "blank-single-column": ("x1\n0.5\n\n0.25\n", False, False),
     "crlf": ("x1,x2,label\r\n0.5,-0.0,1\r\n0.25,0.75,2\r\n", True, True),
+    "cr": ("x1,x2,label\r0.5,-0.0,1\r0.25,0.75,2", True, True),
+    "form-feed-vertical-tab": ("x1,x2,label\n0.5,\f1,1\n\v0.25,0.75,2\n", True, True),
     "spaces-underscores": ("x1,x2,label\n 0.5 , 1_000 , 1 \n\t2,3 ,2\n", True, True),
     "coordinate-inf": ("x1,x2,label\n0.5,0.5,1\n0.25,inf,2\n", True, False),
     "coordinate-nan": ("x1,x2,label\n0.5,0.5,1\n0.25,nan,2\n", True, False),

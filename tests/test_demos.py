@@ -16,7 +16,8 @@ def test_demo_exits_cleanly(script, tmp_path):
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src") + (os.pathsep + path if path else "")
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        # The suite's filterwarnings setting does not reach a subprocess.
+        [sys.executable, "-W", "error", str(script)],
         env={**os.environ, "PYTHONPATH": src},
         cwd=tmp_path,
         capture_output=True,
