@@ -104,16 +104,14 @@ class ChristoffelEvaluator:
         Cutoff applied to the spectrum (0.0 in Tikhonov mode).
     mass : float
         Total mass of the measure the matrix came from.
-    policy : ThresholdPolicy
     """
 
-    def __init__(self, basis, eigenvalues, eigenvectors, threshold, mass, policy):
+    def __init__(self, basis, eigenvalues, eigenvectors, threshold, mass):
         self.basis = basis
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self.threshold = float(threshold)
         self.mass = float(mass)
-        self.policy = policy
         scoring = eigenvectors / np.sqrt(eigenvalues)
         if self.rank < basis.size:
             complete = np.linalg.qr(eigenvectors, mode="complete")[0]
@@ -158,7 +156,6 @@ def build_evaluator(
         eigenvectors=eigvecs,
         threshold=threshold,
         mass=M.mass,
-        policy=policy,
     )
 
 

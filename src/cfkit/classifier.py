@@ -16,6 +16,7 @@ pointwise ordering that relates them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -246,9 +247,9 @@ def _leading_basis(basis: MonomialBasis, t: int) -> MonomialBasis:
 def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
     """Per-class inverse scores of raw queries under each model, each of shape
     (n_points, m): the one place queries are checked and mapped through a
-    model's transform.  Models that share a transform object share one
-    :func:`inverse_scores` pass, which evaluates each row chunk in the basis
-    once for all of them."""
+    model's transform.  Each run of adjacent models that share a transform
+    object is scored in one :func:`inverse_scores` pass, which evaluates each
+    row chunk in the basis once for all of them."""
     pts = np.asarray(points, dtype=np.float64)
     for model in models:
         if pts.ndim != 2 or pts.shape[1] != model.n:
@@ -256,26 +257,22 @@ def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
                 f"queries must be a 2-D array with {model.n} columns, "
                 f"got shape {pts.shape}"
             )
-    groups = {}
-    for model in models:
-        groups.setdefault(id(model.transform), []).append(model)
-    out = {}
-    for group in groups.values():
-        evaluators = [ev for model in group for ev in model.evaluators]
+    out = []
+    for _, run in itertools.groupby(models, key=lambda model: id(model.transform)):
+        run = list(run)
         # A finite query that the transform maps out of range scores 0.
         with np.errstate(over="ignore"):
-            mapped = group[0].transform.forward(pts)
+            mapped = run[0].transform.forward(pts)
         # Reductions along the short axis of (rows, n) are slow: take the
         # row mask only when some value is not finite.
         far = slice(0)
         if not np.isfinite(mapped).all():
             far = np.isfinite(pts).all(axis=1) & ~np.isfinite(mapped).all(axis=1)
         mapped[far] = 0.0
-        q = inverse_scores(evaluators, mapped)
+        q = inverse_scores([ev for model in run for ev in model.evaluators], mapped)
         q[far] = np.inf
-        ends = np.cumsum([model.m for model in group])
-        out.update(zip(map(id, group), np.split(q, ends[:-1], axis=1)))
-    return [out[id(model)] for model in models]
+        out += np.split(q, np.cumsum([model.m for model in run])[:-1], axis=1)
+    return out
 
 
 def scores_batch(model: ClassifierModel, points) -> np.ndarray:
@@ -307,8 +304,8 @@ def predict_batch(model: ClassifierModel, points) -> tuple[np.ndarray, np.ndarra
 def classify_batches(models: list[ClassifierModel], points) -> list[np.ndarray]:
     """The labels of :func:`predict_batch` under each model, for the same points.
 
-    Models that share a transform, as the models of one :func:`fit_degrees`
-    call do, are scored in one pass over the points.
+    Adjacent models that share a transform, as the models of one
+    :func:`fit_degrees` call do, are scored in one pass over the points.
     """
     qs = _inverse_scores(models, points)
     return [_labels(model, cf_from_inverse(q)) for model, q in zip(models, qs)]

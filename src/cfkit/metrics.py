@@ -68,12 +68,11 @@ def evaluate_models(
     """The :func:`evaluate_model` report of each model on one dataset.
 
     The eps-interior mask depends on the test points only, so it is
-    computed once for all models, and models that share a transform are
-    scored in one pass (see :func:`classifier.classify_batches`), so the
+    computed once for all models, and adjacent models that share a transform
+    are scored in one pass (see :func:`classifier.classify_batches`), so the
     models of one ``fit_degrees`` call evaluate each test row in the basis
     once.
     """
-    _check_class_counts(models, dataset)
     mask = None
     if specs is not None and eps is not None:
         mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
@@ -86,27 +85,22 @@ def masked_reports(
     """:func:`evaluate_models` with the eps-interior ``mask`` of the dataset
     given (None for no eps-interior figures), for callers that evaluate
     several model sets on one test set."""
-    _check_class_counts(models, dataset)
+    for model in models:
+        if dataset.m > model.m:
+            raise DataError(
+                f"test labels go up to {dataset.m} but the model has {model.m} classes"
+            )
     predicted = classify_batches(models, dataset.points)
     return [
         _report(model, labels, dataset, mask) for model, labels in zip(models, predicted)
     ]
 
 
-def _check_class_counts(models, dataset):
-    for model in models:
-        if dataset.m > model.m:
-            raise DataError(
-                f"test labels go up to {dataset.m} but the model has {model.m} classes"
-            )
-
-
 def _report(model, predicted, dataset, mask):
     confusion, rejected = confusion_matrix(dataset.labels, predicted, model.m)
     totals = confusion.sum(axis=1) + rejected
     correct = np.diag(confusion)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(totals > 0, correct / np.maximum(totals, 1), np.nan)
+    per_class = np.where(totals > 0, correct / np.maximum(totals, 1), np.nan)
     report = MetricsReport(
         n_total=dataset.n_points,
         accuracy=float(correct.sum() / dataset.n_points),

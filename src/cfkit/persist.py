@@ -156,7 +156,6 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
                 eigenvectors=eigenvectors,
                 threshold=info["threshold"],
                 mass=info["mass"],
-                policy=policy,
             )
         )
     reject = header["reject_threshold"]
