@@ -52,10 +52,10 @@ VARIATIONAL_ZERO_TOL = 1e-10
 class ThresholdPolicy:
     """How to split a PSD spectrum into retained and discarded parts.
 
-    ``rel`` keeps eigenvalues above max(1e-12, value * lambda_max).
-    ``tikhonov`` adds value * I and keeps the full spectrum, which makes
-    every score strictly positive at the cost of the exact rank and trace
-    identities.
+    ``rel`` keeps eigenvalues above max(1e-12, value * lambda_max), with
+    value finite and >= 0.  ``tikhonov`` adds value * I, with value finite
+    and > 0, and keeps the full spectrum, which makes every score strictly
+    positive at the cost of the exact rank and trace identities.
     """
 
     mode: str = "rel"
@@ -66,6 +66,8 @@ class ThresholdPolicy:
             raise ValueError(f"unknown threshold mode {self.mode!r}")
         if not 0 <= self.value < math.inf:
             raise ValueError(f"threshold value must be finite and >= 0, got {self.value!r}")
+        if self.mode == "tikhonov" and self.value == 0:
+            raise ValueError("tikhonov value must be > 0")
 
     @classmethod
     def from_string(cls, text: str) -> "ThresholdPolicy":

@@ -326,14 +326,18 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
     Returns [sum_j theta_j(y)^2 / L_j(x)]^(-1).  At integer y = j this is
     the same floating-point value as ``scores(model, x)[j-1]``: the theta
     weights are exactly one and zero there and zero-weight terms are
-    skipped, so off-support classes cannot poison the sum.
+    skipped, so off-support classes cannot poison the sum.  For y so large
+    that the weights or their sum overflow, the sum is ``inf`` and the
+    value 0.0, without floating-point warnings.
     """
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y!r}")
     q = _inverse_scores([model], as_row(x, model.n))[0][0]
-    weights = make_theta(model.m).eval_all(y) ** 2
-    used = weights != 0.0
-    return float(cf_from_inverse(weights[used] @ q[used]))
+    with np.errstate(over="ignore"):
+        weights = make_theta(model.m).eval_all(y) ** 2
+        used = weights != 0.0
+        total = weights[used] @ q[used]
+    return float(cf_from_inverse(total))
 
 
 def variety_cf(

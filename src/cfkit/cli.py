@@ -334,7 +334,7 @@ def build_parser():
                               "auto or at least 1"))
     p.add_argument("--threshold-policy", default=ThresholdPolicy().to_string(),
                    type=_flag("--threshold-policy", ThresholdPolicy.from_string),
-                   help="rel:<float> or tikhonov:<float>, the float finite and >= 0")
+                   help="rel:<float> (finite, >= 0) or tikhonov:<float> (finite, > 0)")
     p.add_argument("--class-prior-weights", action="store_true",
                    help="weight class measures by class frequency")
     p.add_argument("--no-scale", action="store_true",

@@ -38,7 +38,8 @@ class ShapeSpec:
     """A sampling region with a class label.
 
     ``disk`` takes center and radius; ``annulus`` center, inner and outer
-    radii; ``box`` low and high corner points.
+    radii; ``box`` low and high corner points.  A field the kind does not
+    take raises DataError.
     """
 
     kind: str
@@ -53,6 +54,13 @@ class ShapeSpec:
     def __post_init__(self):
         if self.label < 1:
             raise DataError("shape label must be an integer >= 1")
+        takes = {"disk": ("center", "radius"), "annulus": ("center", "inner", "outer"),
+                 "box": ("low", "high")}.get(self.kind)
+        if takes is None:
+            raise DataError(f"unknown shape kind {self.kind!r}")
+        for name in ("center", "radius", "inner", "outer", "low", "high"):
+            if name not in takes and getattr(self, name) is not None:
+                raise DataError(f"{self.kind} does not take {name}")
         if self.kind == "disk":
             if self.center is None or self.radius is None:
                 raise DataError("disk needs center and radius")
@@ -63,15 +71,13 @@ class ShapeSpec:
                 raise DataError("annulus needs center, inner and outer radii")
             if not 0 < self.inner < self.outer:
                 raise DataError("annulus radii must satisfy 0 < inner < outer")
-        elif self.kind == "box":
+        else:
             if self.low is None or self.high is None:
                 raise DataError("box needs low and high corners")
             if len(self.low) != len(self.high):
                 raise DataError("box corners must have equal dimension")
             if any(lo > hi for lo, hi in zip(self.low, self.high)):
                 raise DataError("box corners must be ordered (low <= high)")
-        else:
-            raise DataError(f"unknown shape kind {self.kind!r}")
         # In Python floats, which overflow to inf silently.  A non-finite
         # coordinate or radius makes some width inf or nan too.
         if self.kind == "box":
@@ -114,12 +120,15 @@ class ShapeSpec:
 
         Disk: |radius - |x - c||.  Annulus: the smaller of the distances
         to the two circles.  Box: the smallest slab distance over the
-        coordinates.
+        coordinates.  A disk or annulus puts a finite point whose offset
+        from the center overflows at distance ``inf``; a box gives such a
+        point's nearer slab.  Neither warns.
         """
         pts = np.atleast_2d(np.asarray(points, float))
         if self.kind == "box":
             lo, hi = self.bounding_box()
-            per_axis = np.minimum(np.abs(pts - lo), np.abs(hi - pts))
+            with np.errstate(over="ignore"):
+                per_axis = np.minimum(np.abs(pts - lo), np.abs(hi - pts))
             return per_axis.min(axis=1)
         d = self._center_distance(pts)
         if self.kind == "disk":
@@ -130,13 +139,16 @@ class ShapeSpec:
         """Distance of each row to the center.  Past a reach of 2**500, or
         below 2**-500, the offsets are divided by a power of two first, so
         their squares neither overflow nor underflow; that is exact, and a
-        unit of 1 leaves the bits of the shapes in between as they are."""
+        unit of 1 leaves the bits of the shapes in between as they are.  The
+        unit follows the shape, not the points: a finite point far enough
+        out overflows, silently, to distance ``inf``."""
         exponent = math.frexp(self._reach)[1]
         unit = 2.0 ** (exponent - 500 if exponent > 500 else min(0, exponent + 500))
-        offsets = pts - np.asarray(self.center, float)
-        offsets /= unit
-        distance = np.linalg.norm(offsets, axis=1)
-        distance *= unit
+        with np.errstate(over="ignore"):
+            offsets = pts - np.asarray(self.center, float)
+            offsets /= unit
+            distance = np.linalg.norm(offsets, axis=1)
+            distance *= unit
         return distance
 
     def volume(self) -> float:

@@ -87,6 +87,12 @@ class TestBuildEvaluator:
         with pytest.raises(ValueError, match="finite and >= 0"):
             ThresholdPolicy.from_string(f"rel:{value}")
 
+    @pytest.mark.parametrize("value", ["0", "-0.0"])
+    def test_tikhonov_value_positive(self, value):
+        with pytest.raises(ValueError, match="tikhonov value must be > 0"):
+            ThresholdPolicy.from_string(f"tikhonov:{value}")
+        assert ThresholdPolicy.from_string(f"rel:{value}").value == 0.0
+
     def test_tikhonov_keeps_full_rank(self):
         M = empirical_moment_matrix(uniform_measure([0.25]), enumerate_basis(1, 2))
         ev = build_evaluator(M, ThresholdPolicy("tikhonov", 1e-8))

@@ -482,6 +482,12 @@ class TestJointFormulas:
             with pytest.raises(ValueError, match="query point must have length 2"):
                 eval_joint_inverse(ev, bad, 1.0)
 
+    def test_huge_y_gives_zero_without_warnings(self):
+        model = fit(gen_shapes(THREE_SHAPES, 100, seed=0), degree=2)
+        for y in (1e100, 1e200, -1e300):
+            assert joint_cf(model, [0.0, 0.0], y) == 0.0
+        assert 0.0 < joint_cf(model, [0.0, 0.0], 1e50) < 1e-200
+
     def test_half_integer_combination(self, rng):
         data = random_joint_dataset(rng, 1, 2, [10, 10])
         model = fit(data, degree=2)

@@ -123,6 +123,22 @@ class TestSynth:
         assert f"{spec}: line 2: shape coordinates, radii" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "shape, field",
+        [
+            ("kind=disk center=-2,0 radius=1 inner=0.5", "disk does not take inner"),
+            ("kind=box low=0,0 high=1,1 radius=7", "box does not take radius"),
+            ("kind=annulus center=0,0 inner=1 outer=2 low=0,0", "annulus does not take low"),
+        ],
+    )
+    def test_field_the_kind_does_not_take(self, tmp_path, capsys, shape, field):
+        spec = tmp_path / "extra.spec"
+        spec.write_text(f"class=1 {shape}\n")
+        out = tmp_path / "x.csv"
+        assert run("synth", spec, "--n", 10, "--seed", 0, "--out", out) == 3
+        assert f"{spec}: line 1: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_finite_radius(self, tmp_path):
         spec = tmp_path / "huge.spec"
         spec.write_text("class=1 kind=disk center=0,0 radius=1e200\n")
@@ -531,6 +547,22 @@ class TestEval:
         assert f"shape is {dim}-D but the points are 2-D" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_row_far_from_every_shape(self, tmp_path, spec_file, capsys):
+        """A finite row whose offset from a shape overflows is not in its
+        eps-interior, and scoring it raises no floating-point warning."""
+        train = tmp_path / "train.csv"
+        run("synth", spec_file, "--n", 100, "--seed", 0, "--out", train)
+        model = tmp_path / "model.cfm"
+        run("train", train, "--degree", 2, "--out", model)
+        test = tmp_path / "test.csv"
+        test.write_text("x1,x2,label\n-2,0,1\n2,0.5,2\n1e300,0,2\n")
+        report = tmp_path / "report.txt"
+        assert run("eval", model, test, "--shapes", spec_file, "--out", report) == 0
+        assert "Warning" not in capsys.readouterr().err
+        lines = report.read_text().splitlines()
+        assert "eps_interior_n 2" in lines
+        assert "eps_interior_accuracy 1.0" in lines
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
     def test_out_of_range_epsilon(self, tmp_path, monkeypatch, capsys, spec_file, epsilon):
         def no_work(*args, **kwargs):
@@ -791,6 +823,18 @@ class TestSweep:
         assert f"{spec}: line 1: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_the_kind_does_not_take_fails_the_run(self, tmp_path, capsys):
+        spec = tmp_path / "extra.spec"
+        spec.write_text("class=1 kind=disk center=0,0 radius=1 inner=0.5\n")
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", spec, "--n-list", "20", "--t-list", "2",
+            "--seeds", "0", "--test-n", 20, "--out", out,
+        )
+        assert code == 3
+        assert f"{spec}: line 1: disk does not take inner" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_n_list_usage_error(self, tmp_path, spec_file):
         assert run(
             "sweep", spec_file, "--n-list", "", "--t-list", "2",
@@ -947,6 +991,7 @@ BAD_FLAGS = [
     (["train", "missing.csv"], ["--threshold-policy", "foo"]),
     (["train", "missing.csv"], ["--threshold-policy", "rel:nan"]),
     (["train", "missing.csv"], ["--threshold-policy", "tikhonov:inf"]),
+    (["train", "missing.csv"], ["--threshold-policy", "tikhonov:0"]),
     (["train", "missing.csv"], ["--threshold-policy", "rel:-1"]),
     (["train", "missing.csv"], ["--reject-gamma", "nan"]),
     (["train", "missing.csv"], ["--seed", "abc"]),

@@ -45,6 +45,21 @@ class TestShapeSpec:
         with pytest.raises(DataError):
             ShapeSpec(kind="disk", label=0, center=(0.0,), radius=1.0)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"kind": "disk", "center": (0.0, 0.0), "radius": 1.0, "inner": 0.5}, "inner"),
+            ({"kind": "disk", "center": (0.0, 0.0), "radius": 1.0, "low": (0.0, 0.0)}, "low"),
+            ({"kind": "annulus", "center": (0.0,), "inner": 1.0, "outer": 2.0,
+              "radius": 3.0}, "radius"),
+            ({"kind": "box", "low": (0.0,), "high": (1.0,), "radius": 7.0}, "radius"),
+            ({"kind": "box", "low": (0.0,), "high": (1.0,), "center": (0.5,)}, "center"),
+        ],
+    )
+    def test_field_the_kind_does_not_take(self, fields, name):
+        with pytest.raises(DataError, match=f"^{fields['kind']} does not take {name}$"):
+            ShapeSpec(label=1, **fields)
+
     def test_volume(self):
         assert DISK.volume() == pytest.approx(np.pi)
         ring = ShapeSpec(
@@ -89,6 +104,29 @@ class TestShapeSpec:
         np.testing.assert_allclose(
             disk.boundary_distance(pts), [0.0, (2**0.5 - 1) * 1e200, 1e200], atol=1e185
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DISK,
+            ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e-170),
+            ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e200),
+            ShapeSpec(kind="annulus", label=1, center=(0.0, 0.0), inner=0.5, outer=1.0),
+        ],
+        ids=["disk", "tiny-disk", "huge-disk", "annulus"],
+    )
+    def test_point_whose_offset_overflows_is_at_distance_inf(self, spec):
+        pts = np.array([[1.5e308, 1.5e308], [0.0, -1.7e308], [0.0, 0.0]])
+        far = spec.boundary_distance(pts)
+        assert far[0] == far[1] == np.inf and far[2] < np.inf
+        assert not spec.contains(pts[:2]).any()
+        np.testing.assert_array_equal(epsilon_interior_mask(pts[:2], [spec], 0.1), [False, False])
+
+    def test_box_offset_that_overflows_leaves_the_nearer_slab(self):
+        box = ShapeSpec(kind="box", label=1, low=(-(2.0**1023),), high=(-(2.0**1021),))
+        pts = np.array([[2.0**1023], [-(2.0**1022)]])
+        np.testing.assert_array_equal(box.boundary_distance(pts), [1.25 * 2.0**1023, 2.0**1021])
+        np.testing.assert_array_equal(box.contains(pts), [False, True])
 
     def test_tiny_radius_distances_do_not_underflow(self):
         disk = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1e-170)

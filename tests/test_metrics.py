@@ -105,6 +105,21 @@ class TestEvaluateModels:
                     np.testing.assert_array_equal(getattr(report, key), value, err_msg=key)
         assert reports[1].rejected_per_class.sum() > 0
 
+    def test_interleaved_transforms_match_per_model_reports(self):
+        """Models of two fit_degrees calls, interleaved, so that no two
+        adjacent models share a transform."""
+        test = gen_shapes(TWO_DISKS, 100, seed=6)
+        a = fit_degrees(gen_shapes(TWO_DISKS, 40, seed=5), [2, 4])
+        b = fit_degrees(gen_shapes(TWO_DISKS, 50, seed=7), [1, 3])
+        models = [a[0], b[1], a[1], b[0]]
+        reports = evaluate_models(models, test, TWO_DISKS, 0.2)
+        assert len(reports) == len(models)
+        for model, report in zip(models, reports):
+            alone = evaluate_model(model, test, TWO_DISKS, 0.2)
+            assert vars(report).keys() == vars(alone).keys()
+            for key, value in vars(alone).items():
+                np.testing.assert_array_equal(getattr(report, key), value, err_msg=key)
+
     def test_one_basis_evaluation_per_test_block(self, monkeypatch):
         """The models of one fit_degrees call share their transform, so each
         test row block is evaluated once, in the largest basis."""
