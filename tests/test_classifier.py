@@ -484,7 +484,8 @@ class TestJointFormulas:
 
     def test_huge_y_gives_zero_without_warnings(self):
         model = fit(gen_shapes(THREE_SHAPES, 100, seed=0), degree=2)
-        for y in (1e100, 1e200, -1e300):
+        # At 1e77 the weights are finite and their weighted sum overflows.
+        for y in (1e77, 1e100, 1e200, -1e300):
             assert joint_cf(model, [0.0, 0.0], y) == 0.0
         assert 0.0 < joint_cf(model, [0.0, 0.0], 1e50) < 1e-200
 

@@ -315,7 +315,7 @@ class TestPredict:
         assert run("predict", hand_model, queries, "--out", tmp_path / "p.csv") == 3
         assert f"{hand_model}: truncated model file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["format-only", "n-text"])
+    @pytest.mark.parametrize("edit", ["format-only", "n-text", "policy-tikhonov-zero"])
     def test_malformed_model_header(self, tmp_path, hand_model, capsys, edit):
         rewrite_header(hand_model, MALFORMED_HEADERS[edit])
         queries = tmp_path / "queries.csv"
