@@ -385,6 +385,7 @@ def read_ascii_lines(path) -> list[str]:
         # a line break comes right before it.
         lineno = len(_split_lines(raw[: exc.start].decode("ascii") + "?"))
         raise DataError(f"{path}: line {lineno}: non-ASCII byte") from None
+    del raw  # not held while the lines are made
     return _split_lines(text)
 
 
@@ -419,7 +420,9 @@ def _read_rows(path, require_label):
 
 
 def _parse_bulk(body, width, n, has_label):
-    """Parse every data line in one conversion, or return None.
+    """Parse the data lines in one conversion per ``row_blocks`` block, or
+    return None.  Per block, the cell strings held at once are a block's,
+    not the file's.
 
     None means some line or cell is not plainly valid: a line with the
     wrong number of cells (a blank line has none, or one empty cell), a
@@ -433,11 +436,13 @@ def _parse_bulk(body, width, n, has_label):
     # Checked per line: a short row and a long row can balance in total.
     if not body or any(line.count(",") != commas for line in body):
         return None
+    table = np.empty((len(body), width))
     try:
-        cells = np.array(",".join(body).split(","), dtype=np.float64)
+        for block in row_blocks(len(body)):
+            cells = ",".join(body[block]).split(",")
+            table[block] = np.array(cells, dtype=np.float64).reshape(-1, width)
     except ValueError:
         return None
-    table = cells.reshape(len(body), width)
     points = np.ascontiguousarray(table[:, :n])
     # min and max propagate nan and reach inf without a temporary array.
     if not (np.isfinite(points.min()) and np.isfinite(points.max())):

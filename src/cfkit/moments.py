@@ -6,7 +6,11 @@ their stored order through ``basis_blocks``, as query scoring does, one
 block of basis values at a time, so its working memory does not grow
 with the number of points.  Each block adds its ``sqrt(w)``-scaled
 values times their own transpose (BLAS ``syrk``): the matrix is exactly
-symmetric, and its bits do not depend on the BLAS thread count.
+symmetric.  Its bits depend on the block shapes.  With OpenBLAS 0.3.31
+they were the same under 1 and 2 BLAS threads up to 91 basis entries
+(two disks to degree 12, a 3-D class of 3000 points to degree 6), and
+differed from 165 entries on (that class at degrees 8 and 10).  From 165
+entries on, ``numpy.linalg.eigh`` of one fixed matrix differs too.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .multiindex import MonomialBasis, eval_monomials_batch
 
-# Rows per block of basis values; bounds the (rows, size) working arrays.
+# Rows per block of basis values at most; bases of up to 32 entries use this many.
 EVAL_CHUNK = 4096
+# Floats per (rows, size) working array of a block, 1 MiB of float64: wider
+# bases take fewer rows, so a block's values and product hold at most 2 MiB.
+BLOCK_FLOATS = 2**17
 
 # Labels are stored as int64; a float label at or above this does not fit.
 _LABEL_LIMIT = 2.0**63
@@ -33,10 +40,18 @@ def valid_labels(labels) -> bool:
     return bool(np.all((labels >= 1) & (labels < _LABEL_LIMIT) & (labels == np.floor(labels))))
 
 
-def row_blocks(n_rows: int):
-    """Consecutive slices of at most ``EVAL_CHUNK`` rows covering ``n_rows``."""
-    for start in range(0, n_rows, EVAL_CHUNK):
-        yield slice(start, min(start + EVAL_CHUNK, n_rows))
+def block_rows(width: int) -> int:
+    """Rows per block of a ``width``-column array: ``EVAL_CHUNK``, or as many
+    as fit in ``BLOCK_FLOATS`` values, but at least one."""
+    return min(EVAL_CHUNK, max(1, BLOCK_FLOATS // width))
+
+
+def row_blocks(n_rows: int, width: int = 1):
+    """Consecutive slices of ``block_rows(width)`` rows covering ``n_rows``;
+    the last may be shorter."""
+    step = block_rows(width)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 def basis_blocks(basis: MonomialBasis, points: np.ndarray):
@@ -46,19 +61,22 @@ def basis_blocks(basis: MonomialBasis, points: np.ndarray):
     block's basis values, shape (rows, basis.size), and ``spare`` is an
     array of that shape for the caller's product.  Both are contiguous and
     column-major, the layout the recurrence writes fastest and that
-    OpenBLAS fills fastest as a product's output (a 4096-row block times a
-    91 x 91 matrix: 1.5 ms column-major, 2.1 ms row-major, with the same
-    bits).  A short last block is contiguous too, so that numpy buffers
-    only the coordinate of each multiply in :func:`eval_monomials_batch`,
-    not its blocks of parent and output columns.
+    OpenBLAS fills fastest as a product's output (the 1440-row block of a
+    91-entry basis times a 91 x 91 matrix: 0.63 ms column-major, 0.82 ms
+    row-major, with the same bits).  Each holds at most ``BLOCK_FLOATS``
+    values unless one row is wider, so a pass holds at most 2 MiB of them
+    whatever the basis size.  A short last block is contiguous too, so
+    that numpy buffers only the coordinate of each multiply in
+    :func:`eval_monomials_batch`, not its blocks of parent and output
+    columns.
     Both are rewritten at the next block.  They come from one allocation
     per call, in place of fresh arrays per block, which also keeps glibc
     from returning the memory to the system after each call: freeing a
     chunk this large raises its trim threshold to twice the chunk, so the
     next call reuses the pages instead of faulting them in again.
     """
-    work = np.empty((2, basis.size * min(EVAL_CHUNK, points.shape[0])))
-    for block in row_blocks(points.shape[0]):
+    work = np.empty((2, basis.size * min(block_rows(basis.size), points.shape[0])))
+    for block in row_blocks(points.shape[0], basis.size):
         used = basis.size * (block.stop - block.start)
         values = work[0, :used].reshape(basis.size, -1).T
         eval_monomials_batch(basis, points[block], out=values)

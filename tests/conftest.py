@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,8 +118,20 @@ def reference_table(header, *blocks):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def traced_peak(call, *args, **kwargs):
+    """The result of a call and the peak bytes that tracemalloc (which sees
+    numpy buffers) records while it runs."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def chunk_crossing_queries():
-    """Points of the three shapes: one full scoring chunk plus a partial one."""
+    """Points of the three shapes: one full ``EVAL_CHUNK`` block plus a partial
+    one, so they cross a block boundary in every basis (a basis of more than
+    32 entries takes shorter blocks)."""
     queries = gen_shapes(THREE_SHAPES, (EVAL_CHUNK + 37) // 3 + 1, seed=12).points
     assert queries.shape[0] > EVAL_CHUNK and queries.shape[0] % EVAL_CHUNK
     return queries

@@ -163,7 +163,8 @@ def two_product_inverse_scores(ev, values):
 @pytest.fixture(scope="module")
 def box_and_disk():
     """3000 points filling [-1, 1]^2 and 3000 in the disk of radius 0.5 at 0,
-    and queries in the box: one full scoring block and part of a second."""
+    and queries in the box: more than one ``EVAL_CHUNK`` block, so two
+    blocks at degree 8 and four at degree 12, the last one partial."""
     rng = np.random.default_rng(5)
     box = rng.uniform(-1.0, 1.0, size=(3000, 2))
     radius, angle = 0.5 * np.sqrt(rng.uniform(size=3000)), rng.uniform(0, 2 * np.pi, 3000)

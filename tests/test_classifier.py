@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -44,13 +43,14 @@ from cfkit import (
     variety_cf,
 )
 from cfkit.christoffel import cf_from_inverse, inverse_scores
-from cfkit.moments import EVAL_CHUNK
+from cfkit.moments import BLOCK_FLOATS, EVAL_CHUNK
 from cfkit.multiindex import basis_dimension
 from conftest import (
     THREE_SHAPES,
     chunk_crossing_queries,
     random_joint_dataset,
     separated_points,
+    traced_peak,
 )
 
 
@@ -164,16 +164,10 @@ class TestFit:
 
 
 def traced_fit_peak(n_rows, degree):
-    """Peak bytes that tracemalloc (which sees numpy buffers) records while
-    one class of ``n_rows`` points is fitted."""
+    """Peak bytes recorded while one class of ``n_rows`` points is fitted."""
     points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n_rows, 2))
     data = LabeledDataset(points, np.ones(n_rows, dtype=np.int64))
-    tracemalloc.start()
-    try:
-        fit(data, degree=degree)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(fit, data, degree=degree)[1]
 
 
 class TestFitDegrees:
@@ -308,6 +302,17 @@ class TestFitDegrees:
         large = traced_fit_peak(12 * EVAL_CHUNK, degree)
         extra_values = 9 * EVAL_CHUNK * basis_dimension(2, degree) * 8
         assert large - small < extra_values / 4
+
+    def test_high_degree_memory_is_one_block_plus_rows(self):
+        """At t = 12 (91 basis entries) a block is sized by bytes, so fit and
+        scores_batch each peak below the two arrays of one block plus
+        2n + 2m floats per row: the scaled points, the class copies, the
+        inverse scores and the scores."""
+        data = gen_shapes(THREE_SHAPES, 12500, seed=4)
+        bound = 8 * (2 * BLOCK_FLOATS + (2 * data.n + 2 * data.m) * data.n_points)
+        model, fit_peak = traced_peak(fit, data, degree=12)
+        _, score_peak = traced_peak(scores_batch, model, data.points)
+        assert fit_peak < bound and score_peak < bound
 
     @pytest.mark.parametrize("degrees", [[], [0], [3, 0]])
     def test_rejects_empty_and_zero(self, degrees):

@@ -949,24 +949,27 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path, spec_file):
     """``train`` writes the same model bytes with one BLAS thread and with two.
 
     A Gram summed by a general matrix product differs in its last bits
-    between the two at this size and degree (50 or 200 points per class do
-    not show it).  On a machine with one CPU, OpenBLAS runs one thread
-    either way, so there the test cannot fail.
+    between the two at 500 points per class and degree 8 (50 or 200 points
+    per class do not show it).  At degree 12 a class of 2000 points is
+    assembled from a 1440-row block and a short one.  On a machine with one
+    CPU, OpenBLAS runs one thread either way, so there the test cannot fail.
     """
-    data = tmp_path / "train.csv"
-    assert run("synth", spec_file, "--n", 500, "--seed", 1, "--out", data) == 0
-    models = []
-    for threads in ("1", "2"):
-        model = tmp_path / f"model-{threads}.cfm"
-        run_with_blas_threads(threads, "train", data, "--degree", 8, "--out", model)
-        models.append(model.read_bytes())
-    assert models[0] == models[1]
+    for n, degree in ((500, 8), (2000, 12)):
+        data = tmp_path / f"train-{n}.csv"
+        assert run("synth", spec_file, "--n", n, "--seed", 1, "--out", data) == 0
+        models = []
+        for threads in ("1", "2"):
+            model = tmp_path / f"model-{n}-{threads}.cfm"
+            run_with_blas_threads(threads, "train", data, "--degree", degree, "--out", model)
+            models.append(model.read_bytes())
+        assert models[0] == models[1], degree
 
 
 def test_scores_do_not_depend_on_blas_threads(tmp_path, spec_file):
     """``predict`` and ``levelset`` write the same bytes with one BLAS thread
-    and with two.  With 2500 points per class the queries fill a 4096-row
-    block, large enough for OpenBLAS to split the scoring product."""
+    and with two.  With 2500 points per class the queries fill a 2912-row
+    block (45 basis entries at degree 8), large enough for OpenBLAS to split
+    the scoring product."""
     data, model = tmp_path / "train.csv", tmp_path / "model.cfm"
     assert run("synth", spec_file, "--n", 2500, "--seed", 1, "--out", data) == 0
     assert run("train", data, "--degree", 8, "--out", model) == 0

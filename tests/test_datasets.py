@@ -23,7 +23,7 @@ from cfkit import (
 from cfkit import datasets
 from cfkit.datasets import _read_rows, write_table
 from cfkit.moments import EVAL_CHUNK
-from conftest import reference_table
+from conftest import reference_table, traced_peak
 
 DISK = ShapeSpec(kind="disk", label=1, center=(0.0, 0.0), radius=1.0)
 TWO_DISKS = [
@@ -513,6 +513,25 @@ class TestBulkReader:
         back = read_csv(path)
         assert back.points.tobytes() == data.points.tobytes()
         np.testing.assert_array_equal(back.labels, data.labels)
+
+    def test_bad_cell_in_a_later_block_is_reported(self, tmp_path, rng):
+        data = LabeledDataset(rng.normal(size=(5000, 3)), rng.integers(1, 4, size=5000))
+        path = tmp_path / "big.csv"
+        write_csv(data, path)
+        lines = path.read_text().splitlines()
+        lines[4501] = "1.0,nope,2.0,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 4502: non-numeric cell")):
+            read_csv(path)
+
+    def test_memory_is_the_lines_and_one_block_of_cells(self, tmp_path, rng):
+        """Reading peaks at about 4.7 times the file's bytes: its lines, the
+        table and one block's cell strings."""
+        n = 6 * EVAL_CHUNK
+        data = LabeledDataset(rng.uniform(-3.0, 3.0, size=(n, 2)), rng.integers(1, 3, size=n))
+        path = tmp_path / "big.csv"
+        write_csv(data, path)
+        assert traced_peak(read_csv, path)[1] < 6 * path.stat().st_size
 
 
 class TestWriteTable:

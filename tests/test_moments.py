@@ -19,7 +19,7 @@ from cfkit import (
     tensor_cf,
     uniform_measure,
 )
-from cfkit.moments import EVAL_CHUNK, basis_blocks, row_blocks
+from cfkit.moments import BLOCK_FLOATS, EVAL_CHUNK, basis_blocks, block_rows, row_blocks
 from conftest import random_joint_dataset, random_measure
 
 
@@ -246,7 +246,7 @@ def full_array_gram(basis, points, weights):
     by ``sqrt(w)``, its row blocks' products summed in the same order."""
     values = eval_monomials_batch(basis, points) * np.sqrt(weights)[:, None]
     total = np.zeros((basis.size, basis.size))
-    for block in row_blocks(len(points)):
+    for block in row_blocks(len(points), basis.size):
         total += values[block].T @ values[block]
     return total
 
@@ -260,11 +260,12 @@ class TestStreamedAssembly:
 
     def test_empirical_matches_full_array(self, rng):
         measure = random_measure(rng, 2, self.ROWS)
-        basis = enumerate_basis(2, 6)
-        M = empirical_moment_matrix(measure, basis)
-        expected = full_array_gram(basis, measure.points, measure.weights)
-        np.testing.assert_array_equal(M.entries, expected)
-        assert np.array_equal(M.entries, M.entries.T)
+        # 28 entries take EVAL_CHUNK rows per block, 91 take 1440.
+        for basis in (enumerate_basis(2, 6), enumerate_basis(2, 12)):
+            M = empirical_moment_matrix(measure, basis)
+            expected = full_array_gram(basis, measure.points, measure.weights)
+            np.testing.assert_array_equal(M.entries, expected)
+            assert np.array_equal(M.entries, M.entries.T)
 
     @pytest.mark.parametrize("weighting", ["uniform", "per_class"])
     def test_joint_matches_full_array(self, rng, weighting):
@@ -285,12 +286,11 @@ class TestStreamedAssembly:
 class TestBasisBlocks:
     """The one row-block pass over the basis that assembly and scoring share."""
 
-    @pytest.mark.parametrize("degree", [8, 12])
-    def test_blocks_in_order_from_one_allocation(self, rng, degree):
-        basis = enumerate_basis(2, degree)
-        points = rng.uniform(-1.0, 1.0, size=(2 * EVAL_CHUNK + 5, 2))
-        stops = [0]
-        bases = set()
+    @staticmethod
+    def walk(basis, points):
+        """The block stops of one pass and the arrays behind its views; each
+        block's values are checked against a direct evaluation."""
+        stops, owners = [0], []
         for block, values, spare in basis_blocks(basis, points):
             assert block.start == stops[-1]
             stops.append(block.stop)
@@ -299,9 +299,34 @@ class TestBasisBlocks:
             # Both column-major: the rows of a column are adjacent.
             assert values.strides[0] == spare.strides[0] == values.itemsize
             assert values.tobytes() == expected.tobytes()
-            bases.update((id(values.base), id(spare.base)))
-        assert stops == [0, EVAL_CHUNK, 2 * EVAL_CHUNK, 2 * EVAL_CHUNK + 5]
-        assert len(bases) == 1
+            owners += [values.base, spare.base]
+        return stops, owners
+
+    @pytest.mark.parametrize(
+        "width, rows",
+        [(1, EVAL_CHUNK), (32, EVAL_CHUNK), (33, 3971), (45, 2912), (91, 1440),
+         (1001, 130), (BLOCK_FLOATS, 1), (BLOCK_FLOATS + 1, 1)],
+    )
+    def test_block_rows(self, width, rows):
+        assert block_rows(width) == rows
+
+    @pytest.mark.parametrize("degree", [6, 8, 12])
+    def test_blocks_in_order_from_one_allocation(self, rng, degree):
+        basis = enumerate_basis(2, degree)
+        rows = block_rows(basis.size)
+        points = rng.uniform(-1.0, 1.0, size=(2 * rows + 5, 2))
+        stops, owners = self.walk(basis, points)
+        assert stops == [0, rows, 2 * rows, 2 * rows + 5]
+        assert all(owner is owners[0] for owner in owners)
+
+    def test_wide_basis_is_one_small_allocation(self, rng):
+        # 1000 variables at degree 1: 1001 entries, 130 rows per block.
+        basis = enumerate_basis(1000, 1)
+        points = rng.uniform(-1.0, 1.0, size=(1000, 1000))
+        stops, owners = self.walk(basis, points)
+        assert stops == [*range(0, 1000, 130), 1000]
+        assert all(owner is owners[0] for owner in owners)
+        assert owners[0].size <= 2 * BLOCK_FLOATS
 
 
 class TestOverflow:
