@@ -41,13 +41,11 @@ from .classifier import (
 from .datasets import (
     AffineTransform,
     ShapeSpec,
-    epsilon_interior,
     epsilon_interior_mask,
     gen_shapes,
     read_csv,
     read_points_csv,
     scale_to_unit_box,
-    train_test_split,
     write_csv,
 )
 from .errors import CfkitError, DataError, NumericalError
@@ -55,7 +53,6 @@ from .metrics import (
     MetricsReport,
     confusion_matrix,
     evaluate_model,
-    evaluate_models,
     render_report,
 )
 from .moments import (
@@ -73,7 +70,6 @@ from .multiindex import (
     enumerate_basis,
     enumerate_tensor_basis,
     enumerate_variety_basis,
-    eval_monomials,
     eval_monomials_batch,
 )
 from .persist import file_sha256, load_metadata, load_model, save_model

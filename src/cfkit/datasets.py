@@ -1,4 +1,4 @@
-"""Synthetic labeled point clouds, CSV input/output, scaling, and splits.
+"""Synthetic labeled point clouds, CSV input/output and scaling.
 
 Random generation uses ``numpy.random.default_rng`` (the PCG64 generator)
 with a caller-supplied 64-bit seed; the same seed always reproduces the
@@ -151,21 +151,6 @@ class ShapeSpec:
             distance *= unit
         return distance
 
-    def volume(self) -> float:
-        """n-dimensional volume; ``inf`` when it overflows and 0.0 when it
-        underflows."""
-        if self.kind == "box":
-            lo, hi = self.bounding_box()
-            return math.prod((hi - lo).tolist())
-        n = self.dim
-        unit_ball = np.pi ** (n / 2) / math.gamma(n / 2 + 1)
-        try:
-            if self.kind == "disk":
-                return float(unit_ball * self.radius**n)
-            return float(unit_ball * (self.outer**n - self.inner**n))
-        except OverflowError:
-            return math.inf
-
 
 def gen_shapes(
     specs: list[ShapeSpec], n_per_class: int, seed: int
@@ -232,16 +217,6 @@ def epsilon_interior_mask(points, specs, eps, labels=None) -> np.ndarray:
     return keep
 
 
-def epsilon_interior(
-    dataset: LabeledDataset, specs: list[ShapeSpec], eps: float
-) -> LabeledDataset:
-    """Restrict a dataset to the eps-interior of each class's shapes."""
-    keep = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
-    if not np.any(keep):
-        raise DataError("no points remain at this eps")
-    return LabeledDataset(dataset.points[keep], dataset.labels[keep], m=dataset.m)
-
-
 @dataclass(frozen=True)
 class AffineTransform:
     """Per-coordinate map x -> (x - center) * scale with nonzero scales."""
@@ -252,10 +227,6 @@ class AffineTransform:
     def forward(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return (pts - self.center) * self.scale
-
-    def inverse(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts / self.scale + self.center
 
     @classmethod
     def identity(cls, n: int) -> "AffineTransform":
@@ -285,35 +256,6 @@ def scale_to_unit_box(
         transform.forward(dataset.points), dataset.labels, m=dataset.m
     )
     return scaled, transform
-
-
-def train_test_split(
-    dataset: LabeledDataset, fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded stratified split; the two parts partition the input."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
-    for label in range(1, dataset.m + 1):
-        idx = np.flatnonzero(dataset.labels == label)
-        if idx.size < 2:
-            raise DataError(f"class {label} has fewer than 2 points, cannot split")
-        perm = rng.permutation(idx)
-        k = int(round(fraction * idx.size))
-        k = min(max(k, 1), idx.size - 1)
-        train_idx.append(perm[:k])
-        test_idx.append(perm[k:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
-    train = LabeledDataset(
-        dataset.points[train_idx], dataset.labels[train_idx], m=dataset.m
-    )
-    test = LabeledDataset(
-        dataset.points[test_idx], dataset.labels[test_idx], m=dataset.m
-    )
-    return train, test
 
 
 def write_table(path, header, *blocks) -> None:

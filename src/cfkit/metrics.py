@@ -56,35 +56,22 @@ def evaluate_model(
     With shapes and ``eps`` given, a second accuracy figure restricted to
     the eps-interior test points is included.
     """
-    return evaluate_models([model], dataset, specs, eps)[0]
-
-
-def evaluate_models(
-    models: list[ClassifierModel],
-    dataset: LabeledDataset,
-    specs: list[ShapeSpec] | None = None,
-    eps: float | None = None,
-) -> list[MetricsReport]:
-    """The :func:`evaluate_model` report of each model on one dataset.
-
-    The eps-interior mask depends on the test points only, so it is
-    computed once for all models, and adjacent models that share a transform
-    are scored in one pass (see :func:`classifier.classify_batches`), so the
-    models of one ``fit_degrees`` call evaluate each test row in the basis
-    once.
-    """
     mask = None
     if specs is not None and eps is not None:
         mask = epsilon_interior_mask(dataset.points, specs, eps, dataset.labels)
-    return masked_reports(models, dataset, mask)
+    return masked_reports([model], dataset, mask)[0]
 
 
 def masked_reports(
     models: list[ClassifierModel], dataset: LabeledDataset, mask: np.ndarray | None
 ) -> list[MetricsReport]:
-    """:func:`evaluate_models` with the eps-interior ``mask`` of the dataset
-    given (None for no eps-interior figures), for callers that evaluate
-    several model sets on one test set."""
+    """The :func:`evaluate_model` report of each model on one dataset, given
+    the dataset's eps-interior ``mask`` (None for no eps-interior figures).
+
+    Adjacent models that share a transform are scored in one pass (see
+    :func:`classifier.classify_batches`), so the models of one
+    ``fit_degrees`` call evaluate each test row in the basis once.
+    """
     for model in models:
         if dataset.m > model.m:
             raise DataError(

@@ -197,19 +197,6 @@ def enumerate_tensor_basis(n: int, t: int, m: int) -> MonomialBasis:
     return MonomialBasis(n, t, "tensor", m, *recurrence)
 
 
-def eval_monomials(basis: MonomialBasis, x) -> np.ndarray:
-    """Evaluate the monomial vector of the basis at a single point.
-
-    ``x`` must have length ``basis.nvars`` (joint kinds take the y value
-    as the last coordinate).  Entry i is x^{a_i}, with the convention
-    0^0 = 1 so the constant monomial is 1 everywhere.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a single point as a 1-D array")
-    return eval_monomials_batch(basis, x[None, :])[0]
-
-
 def eval_monomials_batch(basis: MonomialBasis, points, out=None) -> np.ndarray:
     """Evaluate the monomial vector at each row of ``points``.
 

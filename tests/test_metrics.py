@@ -7,8 +7,8 @@ from cfkit import (
     DataError,
     ShapeSpec,
     confusion_matrix,
+    epsilon_interior_mask,
     evaluate_model,
-    evaluate_models,
     fit,
     fit_degrees,
     gen_shapes,
@@ -16,6 +16,7 @@ from cfkit import (
     render_report,
     scores_batch,
 )
+from cfkit.metrics import masked_reports
 from cfkit.moments import EVAL_CHUNK
 
 TWO_DISKS = [
@@ -95,8 +96,9 @@ class TestEvaluateModels:
         models = fit_degrees(train, [3, 1, 6])
         best = scores_batch(models[1], test.points).max(axis=1)
         models[1].reject_threshold = float(np.median(best))  # rejects half the rows
-        for specs, eps in ((TWO_DISKS, 0.2), (None, None)):
-            reports = evaluate_models(models, test, specs=specs, eps=eps)
+        interior = epsilon_interior_mask(test.points, TWO_DISKS, 0.2, test.labels)
+        for specs, eps, mask in ((TWO_DISKS, 0.2, interior), (None, None, None)):
+            reports = masked_reports(models, test, mask)
             assert len(reports) == len(models)
             for model, report in zip(models, reports):
                 alone = evaluate_model(model, test, specs=specs, eps=eps)
@@ -112,7 +114,8 @@ class TestEvaluateModels:
         a = fit_degrees(gen_shapes(TWO_DISKS, 40, seed=5), [2, 4])
         b = fit_degrees(gen_shapes(TWO_DISKS, 50, seed=7), [1, 3])
         models = [a[0], b[1], a[1], b[0]]
-        reports = evaluate_models(models, test, TWO_DISKS, 0.2)
+        mask = epsilon_interior_mask(test.points, TWO_DISKS, 0.2, test.labels)
+        reports = masked_reports(models, test, mask)
         assert len(reports) == len(models)
         for model, report in zip(models, reports):
             alone = evaluate_model(model, test, TWO_DISKS, 0.2)
@@ -133,5 +136,5 @@ class TestEvaluateModels:
             return real(basis, points, **kwargs)
 
         monkeypatch.setattr(moments, "eval_monomials_batch", counted)
-        evaluate_models(models, test)
+        masked_reports(models, test, None)
         assert evaluated == [(6, EVAL_CHUNK), (6, 20)]

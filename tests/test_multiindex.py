@@ -14,7 +14,6 @@ from cfkit import (
     enumerate_basis,
     enumerate_tensor_basis,
     enumerate_variety_basis,
-    eval_monomials,
     eval_monomials_batch,
 )
 
@@ -200,37 +199,30 @@ class TestEvalMonomials:
     def test_univariate_powers(self):
         basis = enumerate_basis(1, 2)
         np.testing.assert_array_equal(
-            eval_monomials(basis, [2.0]), [1.0, 2.0, 4.0]
+            eval_monomials_batch(basis, [[2.0]])[0], [1.0, 2.0, 4.0]
         )
 
     def test_degree_one_2d(self):
         basis = enumerate_basis(2, 1)
         np.testing.assert_array_equal(
-            eval_monomials(basis, [3.0, 5.0]), [1.0, 3.0, 5.0]
+            eval_monomials_batch(basis, [[3.0, 5.0]])[0], [1.0, 3.0, 5.0]
         )
 
     def test_origin_keeps_only_constant(self):
         basis = enumerate_basis(2, 2)
         np.testing.assert_array_equal(
-            eval_monomials(basis, [0.0, 0.0]), [1, 0, 0, 0, 0, 0]
+            eval_monomials_batch(basis, [[0.0, 0.0]])[0], [1, 0, 0, 0, 0, 0]
         )
-
-    def test_batch_matches_single(self, rng):
-        basis = enumerate_basis(3, 4)
-        pts = rng.uniform(-2, 2, size=(11, 3))
-        batch = eval_monomials_batch(basis, pts)
-        for i in range(11):
-            np.testing.assert_array_equal(batch[i], eval_monomials(basis, pts[i]))
 
     def test_dimension_mismatch(self):
         basis = enumerate_basis(2, 1)
         with pytest.raises(ValueError):
-            eval_monomials(basis, [1.0])
+            eval_monomials_batch(basis, [[1.0]])
 
     def test_non_finite_rejected(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):
-            eval_monomials(basis, [np.nan])
+            eval_monomials_batch(basis, [[np.nan]])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize(
