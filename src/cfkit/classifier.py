@@ -39,6 +39,7 @@ from .moments import (
     MomentMatrix,
     class_split,
     empirical_moment_matrix,
+    is_integer,
     joint_moment_matrix,
 )
 from .multiindex import (
@@ -182,13 +183,17 @@ def fit_degrees(
     in order.  A one-degree call is the same arithmetic as a fit at that
     degree.  The blocks can differ from a separate assembly at degree t in
     the last bits (the matrix product sums in a shape-dependent order).
-    Other arguments are as in :func:`fit`.
+    Each degree must be an integer >= 1, and the models hold plain Python
+    values.  Other arguments are as in :func:`fit`.
     """
     degrees = list(degrees)
     if not degrees:
         raise ValueError("degrees must not be empty")
-    if min(degrees) < 1:
-        raise ValueError("degree must be at least 1")
+    if not all(is_integer(t) and t >= 1 for t in degrees):
+        raise ValueError(f"degree must be an integer >= 1, got {degrees!r}")
+    degrees = [int(t) for t in degrees]
+    class_prior_weights = bool(class_prior_weights)
+    reject_threshold = None if reject_threshold is None else float(reject_threshold)
     if reject_threshold is not None and not math.isfinite(reject_threshold):
         raise ValueError("reject threshold must be finite")
     if policy is None:

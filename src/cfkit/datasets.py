@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .moments import LabeledDataset, row_blocks, valid_labels
+from .moments import LabeledDataset, is_integer, row_blocks, valid_labels
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ShapeSpec:
     high: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.label < 1:
+        if not (is_integer(self.label) and self.label >= 1):
             raise DataError("shape label must be an integer >= 1")
         takes = {"disk": ("center", "radius"), "annulus": ("center", "inner", "outer"),
                  "box": ("low", "high")}.get(self.kind)
@@ -163,6 +163,8 @@ def gen_shapes(
     """
     if not specs:
         raise DataError("no shapes given")
+    if not is_integer(n_per_class):
+        raise DataError(f"points per class must be an integer, got {n_per_class!r}")
     if n_per_class < 1:
         raise DataError("need at least one point per class")
     dims = {s.dim for s in specs}

@@ -34,6 +34,11 @@ BLOCK_FLOATS = 2**17
 _LABEL_LIMIT = 2.0**63
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def valid_labels(labels) -> bool:
     """Whether every label is an integer in ``1 .. 2**63 - 1``."""
     labels = np.asarray(labels)
@@ -111,11 +116,12 @@ class LabeledDataset:
             raise DataError("points contain non-finite coordinates")
         if self.m is None:
             self.m = int(self.labels.max())
-        elif not (isinstance(self.m, Integral) and self.m >= 1):
+        elif not (is_integer(self.m) and self.m >= 1):
             raise DataError(f"class count m must be an integer >= 1, got {self.m!r}")
         elif np.any(self.labels > self.m):
             bad = int(self.labels.max())
             raise DataError(f"label {bad} exceeds declared class count m={self.m}")
+        self.m = int(self.m)
 
     @property
     def n(self) -> int:

@@ -89,18 +89,20 @@ def load_model(path) -> ClassifierModel:
         payload = handle.read()
     try:
         return _model_from(header, payload, path)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise DataError(f"{path}: malformed model header") from None
 
 
 def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
     """The model a header describes; a missing key or an ill-typed or
-    out-of-range value raises KeyError, TypeError or ValueError."""
+    out-of-range value raises KeyError, TypeError, ValueError or OverflowError."""
     n, m, degree = header["n"], header["m"], header["degree"]
     if not all(type(v) is int and v > 0 for v in (n, m, degree)):
         raise TypeError("n, m and degree must be positive integers")
     if len(header["classes"]) != m:
         raise ValueError("one class entry per class")
+    if type(header["class_prior_weights"]) is not bool:
+        raise TypeError("class_prior_weights must be a bool")
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
@@ -147,20 +149,21 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
     basis = enumerate_basis(n, degree)
     evaluators = []
     for (eigenvalues, eigenvectors), info in zip(spectra, header["classes"]):
-        if not _positive(info["mass"]):
-            raise ValueError("class mass must be finite and > 0")
+        threshold, mass = info["threshold"], info["mass"]
+        if not (_number(threshold) and threshold >= 0 and _number(mass) and mass > 0):
+            raise ValueError("class threshold must be a number >= 0, mass one > 0")
         evaluators.append(
             ChristoffelEvaluator(
                 basis=basis,
                 eigenvalues=eigenvalues,
                 eigenvectors=eigenvectors,
-                threshold=info["threshold"],
-                mass=info["mass"],
+                threshold=threshold,
+                mass=mass,
             )
         )
     reject = header["reject_threshold"]
-    if reject is not None and not math.isfinite(reject):
-        raise ValueError("reject threshold must be finite")
+    if reject is not None and not _number(reject):
+        raise ValueError("reject threshold must be a finite number")
     return ClassifierModel(
         m=m,
         degree=degree,
@@ -171,6 +174,11 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         reject_threshold=None if reject is None else float(reject),
         train_score_floor=floor,
     )
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a finite JSON number; a bool is not one."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _positive(values) -> bool:

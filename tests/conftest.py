@@ -55,6 +55,11 @@ def separated_points(rng, count, n, min_gap, low=-1.0, high=1.0):
 MODEL_CUTS = {"length": 18, "header": 40, "payload": -4}
 
 
+def _each_class(header, **fields):
+    """The class entries of a model header with ``fields`` replaced."""
+    return [{**entry, **fields} for entry in header["classes"]]
+
+
 # Header edits that leave a model file well framed but its header
 # missing keys or holding ill-typed or inconsistent values.
 MALFORMED_HEADERS = {
@@ -69,6 +74,13 @@ MALFORMED_HEADERS = {
     "policy-tikhonov-zero": lambda h: {**h, "policy": {"mode": "tikhonov", "value": 0.0}},
     "class-missing": lambda h: {**h, "classes": h["classes"][:-1]},
     "reject-text": lambda h: {**h, "reject_threshold": "high"},
+    "reject-true": lambda h: {**h, "reject_threshold": True},
+    "prior-text": lambda h: {**h, "class_prior_weights": "yes"},
+    "prior-number": lambda h: {**h, "class_prior_weights": 2},
+    "threshold-text": lambda h: {**h, "classes": _each_class(h, threshold="1e-3")},
+    "threshold-negative": lambda h: {**h, "classes": _each_class(h, threshold=-1e-3)},
+    "mass-true": lambda h: {**h, "classes": _each_class(h, mass=True)},
+    "mass-past-float": lambda h: {**h, "classes": _each_class(h, mass=10**400)},
     "eigenvectors-flat": lambda h: {
         **h,
         "arrays": [

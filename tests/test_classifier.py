@@ -320,6 +320,12 @@ class TestFitDegrees:
         with pytest.raises(ValueError, match="degree"):
             fit_degrees(data, degrees)
 
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True])
+    def test_rejects_non_integer_degree(self, degree):
+        data = gen_shapes(THREE_SHAPES, 20, seed=7)
+        with pytest.raises(ValueError, match="degree must be an integer >= 1"):
+            fit(data, degree=degree)
+
     @pytest.mark.parametrize("reject", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_reject_threshold(self, reject):
         data = gen_shapes(THREE_SHAPES, 20, seed=7)

@@ -58,6 +58,11 @@ class TestShapeSpec:
         with pytest.raises(DataError, match=f"^{fields['kind']} does not take {name}$"):
             ShapeSpec(label=1, **fields)
 
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, np.float64(2.0)])
+    def test_label_must_be_an_integer(self, label):
+        with pytest.raises(DataError, match="shape label must be an integer >= 1"):
+            ShapeSpec(kind="disk", label=label, center=(0.0, 0.0), radius=1.0)
+
     def test_flat_box_constructs(self):
         ShapeSpec(kind="box", label=1, low=(0.0, 1.0), high=(1.0, 1.0))
 
@@ -151,6 +156,11 @@ class TestGenShapes:
         flat = ShapeSpec(kind="box", label=1, low=(0.0, 0.0), high=(1.0, 0.0))
         with pytest.raises(DataError, match="zero area"):
             gen_shapes([flat], 10, seed=0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(DataError, match="points per class must be an integer"):
+            gen_shapes([DISK], count, seed=0)
 
     def test_empty_specs_rejected(self):
         with pytest.raises(DataError):

@@ -42,11 +42,14 @@ class TestLabeledDataset:
         assert data.labels.dtype == np.int64
         np.testing.assert_array_equal(data.labels, [1, 2, 1])
 
-    @pytest.mark.parametrize("m", [2.5, 2.0, 0, -1, "2"])
+    @pytest.mark.parametrize("m", [2.5, 2.0, 0, -1, "2", True])
     def test_class_count_must_be_a_positive_integer(self, m):
         with pytest.raises(DataError, match="class count m must be an integer >= 1"):
             LabeledDataset(np.zeros((2, 1)), [1, 2], m=m)
         assert LabeledDataset(np.zeros((2, 1)), [1, 2], m=np.int64(3)).m == 3
+
+    def test_class_count_is_stored_as_int(self):
+        assert type(LabeledDataset(np.zeros((2, 1)), [1, 2], m=np.int64(3)).m) is int
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DataError):

@@ -8,6 +8,7 @@ import pytest
 from cfkit import (
     ClassifierModel,
     DataError,
+    LabeledDataset,
     ThresholdPolicy,
     fit,
     load_metadata,
@@ -79,6 +80,20 @@ class TestRoundTrip:
             np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
             assert ours.threshold == theirs.threshold
             assert ours.mass == theirs.mass
+
+    def test_numpy_scalar_arguments_save_and_load(self, rng, tmp_path):
+        data = random_joint_dataset(rng, 2, 2, [20, 20])
+        data = LabeledDataset(data.points, data.labels, m=np.int64(2))
+        model = fit(data, degree=np.int64(2), class_prior_weights=np.bool_(True),
+                    reject_threshold=np.float32(0.25))
+        path = tmp_path / "model.cfm"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert type(loaded.degree) is int and loaded.degree == 2
+        assert type(loaded.m) is int and loaded.m == 2
+        assert loaded.class_prior_weights is True and loaded.reject_threshold == 0.25
+        queries = rng.uniform(-2, 2, size=(50, 2))
+        np.testing.assert_array_equal(scores_batch(model, queries), scores_batch(loaded, queries))
 
     def test_metadata_readable_without_arrays(self, rng, tmp_path):
         model = fitted_model(rng)
