@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -64,6 +65,9 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.mode not in ("rel", "tikhonov"):
             raise ValueError(f"unknown threshold mode {self.mode!r}")
+        if isinstance(self.value, bool) or not isinstance(self.value, Real):
+            raise ValueError(f"threshold value must be a real number, got {self.value!r}")
+        object.__setattr__(self, "value", float(self.value))  # a plain float saves as JSON
         if not 0 <= self.value < math.inf:
             raise ValueError(f"threshold value must be finite and >= 0, got {self.value!r}")
         if self.mode == "tikhonov" and self.value == 0:

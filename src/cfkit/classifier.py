@@ -43,7 +43,6 @@ from .moments import (
     joint_moment_matrix,
 )
 from .multiindex import (
-    MonomialBasis,
     basis_dimension,
     enumerate_basis,
     enumerate_tensor_basis,
@@ -172,10 +171,9 @@ def fit_degrees(
     The rescaling and the class split are computed once, and per class the
     moment matrix at ``max(degrees)``, assembled one row block at a time
     (see :func:`empirical_moment_matrix`), so memory does not grow with
-    the class size.  The basis is graded, so the degree-t basis is the
-    leading ``s_t`` entries of it and the degree-t moment matrix is the
-    leading ``s_t x s_t`` block.  Each entry gets its own evaluators from
-    those.  Each entry computes its own 5% training score floors on the
+    the class size.  The basis is graded, so the degree-t moment matrix is
+    its leading ``s_t x s_t`` block, from which each entry gets its own
+    evaluators.  Each entry computes its own 5% training score floors on the
     first read of its ``train_score_floor``: one scoring pass over each
     class's scaled points in that entry's basis.  The entry then drops its
     reference to the points, so they are freed once every entry has read
@@ -199,12 +197,13 @@ def fit_degrees(
     if policy is None:
         policy = ThresholdPolicy()
     if scale:
-        scaled, transform = scale_to_unit_box(dataset)
+        transform = scale_to_unit_box(dataset.points)
+        dataset = LabeledDataset(transform.forward(dataset.points), dataset.labels, m=dataset.m)
     else:
-        scaled, transform = dataset, AffineTransform.identity(dataset.n)
-    top = enumerate_basis(dataset.n, max(degrees))
-    bases = {t: _leading_basis(top, t) for t in set(degrees)}
-    measures = class_split(scaled, class_prior_weights=class_prior_weights)
+        transform = AffineTransform.identity(dataset.n)
+    bases = {t: enumerate_basis(dataset.n, t) for t in set(degrees)}
+    top = bases[max(degrees)]
+    measures = class_split(dataset, class_prior_weights=class_prior_weights)
     evaluators = [[] for _ in degrees]
     points = []
     for label, measure in enumerate(measures, start=1):
@@ -241,12 +240,6 @@ def _own_floors(evaluators: list[ChristoffelEvaluator], points: list[np.ndarray]
     return np.array(
         [np.percentile(eval_cf_batch(ev, pts), 5.0) for ev, pts in zip(evaluators, points)]
     )
-
-
-def _leading_basis(basis: MonomialBasis, t: int) -> MonomialBasis:
-    """The plain degree-t basis as the leading entries of a larger one."""
-    s = basis_dimension(basis.n, t)
-    return MonomialBasis(basis.n, t, "plain", None, basis.parents[:s], basis.variables[:s])
 
 
 def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:

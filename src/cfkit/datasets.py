@@ -13,13 +13,13 @@ is lossless.  Every numeric CSV table the package writes goes through
 :func:`write_table`, which formats each distinct value of a column once
 per chunk of rows.
 
-Reading converts all cells of a table in one numpy call, which parses
-each cell with Python ``float``.  Only a table that fails a check (a line
-with the wrong number of cells, a blank line, a cell ``float`` rejects, a
-non-finite coordinate, a label that is not an integer in ``1 .. 2**63 -
-1``) is parsed again line by line.  That parser skips blank lines, and it
-alone writes parse errors, naming the file and the first bad line.  A
-non-ASCII byte is reported with its file and line too.
+Reading skips blank lines and converts all cells of a table in one numpy
+call, which parses each cell with Python ``float``.  Only a table that
+fails a check (a line with the wrong number of cells, a cell ``float``
+rejects, a non-finite coordinate, a label that is not an integer in ``1
+.. 2**63 - 1``) is parsed again line by line.  That parser alone writes
+parse errors, naming the file and the first bad line.  A non-ASCII byte
+is reported with its file and line too.
 """
 
 from __future__ import annotations
@@ -235,29 +235,22 @@ class AffineTransform:
         return cls(center=np.zeros(n), scale=np.ones(n))
 
 
-def scale_to_unit_box(
-    dataset: LabeledDataset,
-) -> tuple[LabeledDataset, AffineTransform]:
-    """Affinely map the data bounding box onto [-1, 1]^n.
+def scale_to_unit_box(points) -> AffineTransform:
+    """The affine map of the bounding box of the (N, n) array ``points`` onto [-1, 1]^n.
 
     A coordinate whose half-width has no finite inverse (a single
     distinct value, or a box narrower than about 1e-308) is only
     recentered (scale 1), so the transform stays invertible.
     """
     # One column at a time: numpy reduces the short axis of (rows, n) slowly.
-    lo = np.array([column.min() for column in dataset.points.T])
-    hi = np.array([column.max() for column in dataset.points.T])
+    lo = np.array([column.min() for column in points.T])
+    hi = np.array([column.max() for column in points.T])
     # Halves, so that no finite box overflows; scaling by 0.5 is exact.
     half = 0.5 * hi - 0.5 * lo
     with np.errstate(divide="ignore", over="ignore"):
         scale = 1.0 / half
     scale[~np.isfinite(scale)] = 1.0
-    center = 0.5 * lo + 0.5 * hi
-    transform = AffineTransform(center=center, scale=scale)
-    scaled = LabeledDataset(
-        transform.forward(dataset.points), dataset.labels, m=dataset.m
-    )
-    return scaled, transform
+    return AffineTransform(center=0.5 * lo + 0.5 * hi, scale=scale)
 
 
 def write_table(path, header, *blocks) -> None:
@@ -357,7 +350,11 @@ def _read_rows(path, require_label):
     n = len(header) - (1 if has_label else 0)
     if n < 1:
         raise DataError(f"{path}: no feature columns")
-    table = _parse_bulk(lines[1:], len(header), n, has_label)
+    body = lines[1:]
+    table = _parse_bulk(body, len(header), n, has_label)
+    if table is None and any(not line.strip() for line in body):
+        # Skip blank lines, as the line parser does, and try the rest in bulk.
+        table = _parse_bulk([line for line in body if line.strip()], len(header), n, has_label)
     if table is None:
         table = _parse_by_line(path, lines, len(header), n, has_label)
     return table
@@ -370,11 +367,12 @@ def _parse_bulk(body, width, n, has_label):
 
     None means some line or cell is not plainly valid: a line with the
     wrong number of cells (a blank line has none, or one empty cell), a
-    cell ``float`` rejects, a non-finite coordinate or a bad label.  Then
-    :func:`_parse_by_line` parses again to report the first error with its
-    line, so error text is produced in one place only.  numpy converts
-    ``str`` cells with Python ``float``, so both parsers accept the same
-    cells and give the same values.
+    cell ``float`` rejects, a non-finite coordinate or a bad label.  A
+    file with blank lines is tried again without them; a file that still
+    fails is parsed again by :func:`_parse_by_line` to report the first
+    error with its line, so error text is produced in one place only.
+    numpy converts ``str`` cells with Python ``float``, so both parsers
+    accept the same cells and give the same values.
     """
     commas = width - 1
     # Checked per line: a short row and a long row can balance in total.
@@ -436,15 +434,10 @@ def _parse_by_line(path, lines, width, n, has_label):
             if not valid_labels(value):
                 raise DataError(f"{path}: line {lineno}: {_label_fault(value)}")
             labels.append(int(value))
+        if not all(map(math.isfinite, coords)):
+            raise DataError(f"{path}: line {lineno}: non-finite coordinate")
         rows.append(coords)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    points = np.asarray(rows, dtype=np.float64)
-    # min and max propagate nan and reach inf without a temporary array.
-    if not (np.isfinite(points.min()) and np.isfinite(points.max())):
-        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
-        # Row i came from the i-th non-blank data line.
-        data_lines = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise DataError(f"{path}: line {data_lines[bad]}: non-finite coordinate")
     label_arr = np.asarray(labels, dtype=np.int64) if has_label else None
-    return points, label_arr
+    return np.asarray(rows, dtype=np.float64), label_arr

@@ -71,6 +71,7 @@ MALFORMED_HEADERS = {
     "degree-zero": lambda h: {**h, "degree": 0},
     "policy-null": lambda h: {**h, "policy": None},
     "policy-nan": lambda h: {**h, "policy": {**h["policy"], "value": float("nan")}},
+    "policy-true": lambda h: {**h, "policy": {**h["policy"], "value": True}},
     "policy-tikhonov-zero": lambda h: {**h, "policy": {"mode": "tikhonov", "value": 0.0}},
     "class-missing": lambda h: {**h, "classes": h["classes"][:-1]},
     "reject-text": lambda h: {**h, "reject_threshold": "high"},

@@ -87,6 +87,15 @@ class TestBuildEvaluator:
         with pytest.raises(ValueError, match="finite and >= 0"):
             ThresholdPolicy.from_string(f"rel:{value}")
 
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1e-3", None])
+    def test_policy_value_real_number(self, value):
+        with pytest.raises(ValueError, match="must be a real number"):
+            ThresholdPolicy("rel", value)
+
+    def test_policy_value_stored_as_float(self):
+        for value in (np.int64(0), np.float32(0.5), 1):
+            assert type(ThresholdPolicy("rel", value).value) is float
+
     @pytest.mark.parametrize("value", ["0", "-0.0"])
     def test_tikhonov_value_positive(self, value):
         with pytest.raises(ValueError, match="tikhonov value must be > 0"):

@@ -260,33 +260,34 @@ class TestEpsilonInterior:
 class TestScaleToUnitBox:
     def test_two_values_map_to_endpoints(self):
         data = LabeledDataset(np.array([[0.0], [10.0]]), [1, 1])
-        scaled, transform = scale_to_unit_box(data)
-        np.testing.assert_array_equal(scaled.points.ravel(), [-1.0, 1.0])
+        transform = scale_to_unit_box(data.points)
+        np.testing.assert_array_equal(transform.forward(data.points).ravel(), [-1.0, 1.0])
         np.testing.assert_array_equal(transform.forward([[0.0], [10.0]]).ravel(), [-1.0, 1.0])
 
     def test_constant_coordinate_centered(self):
         data = LabeledDataset(np.array([[3.0, 1.0], [3.0, 2.0]]), [1, 1])
-        scaled, transform = scale_to_unit_box(data)
-        np.testing.assert_array_equal(scaled.points[:, 0], [0.0, 0.0])
+        transform = scale_to_unit_box(data.points)
+        scaled = transform.forward(data.points)
+        np.testing.assert_array_equal(scaled[:, 0], [0.0, 0.0])
         assert transform.scale[0] == 1.0
-        np.testing.assert_array_equal(scaled.points[:, 1], [-1.0, 1.0])
+        np.testing.assert_array_equal(scaled[:, 1], [-1.0, 1.0])
 
     def test_subnormal_width_gets_scale_one(self):
         # 1 / half-width overflows here; warnings are errors in this suite.
         data = LabeledDataset(np.array([[0.0, 1.0], [5e-310, 2.0]]), [1, 1])
-        scaled, transform = scale_to_unit_box(data)
+        transform = scale_to_unit_box(data.points)
         np.testing.assert_array_equal(transform.scale, [1.0, 2.0])
-        np.testing.assert_array_equal(scaled.points[:, 1], [-1.0, 1.0])
+        np.testing.assert_array_equal(transform.forward(data.points)[:, 1], [-1.0, 1.0])
 
     def test_round_trip_random(self, rng):
         pts = rng.normal(scale=50.0, size=(40, 3))
         data = LabeledDataset(pts, np.ones(40, dtype=int))
-        scaled, transform = scale_to_unit_box(data)
+        transform = scale_to_unit_box(data.points)
         lows = transform.forward(pts[pts.argmin(axis=0)]).diagonal()
         highs = transform.forward(pts[pts.argmax(axis=0)]).diagonal()
         np.testing.assert_allclose(lows, -1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(highs, 1.0, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(transform.forward(pts), scaled.points)
+        np.testing.assert_array_equal(transform.forward(pts), transform.forward(data.points))
 
     def test_identity_transform(self):
         ident = AffineTransform.identity(2)
@@ -408,9 +409,9 @@ class TestCsv:
 # required, taken by the bulk parser).  The bulk parser takes only files
 # it can read as a whole; everything else goes line by line.
 READER_CASES = {
-    "blank-lines": ("x1,label\n0.5,1\n\n   \n0.25,2\n\n", True, False),
+    "blank-lines": ("x1,label\n0.5,1\n\n   \n0.25,2\n\n", True, True),
     "blank-before-error": ("x1,x2,label\n0.5,0.5,1\n\n \n0.5,bad,1\n", True, False),
-    "blank-single-column": ("x1\n0.5\n\n0.25\n", False, False),
+    "blank-single-column": ("x1\n0.5\n\n0.25\n", False, True),
     "crlf": ("x1,x2,label\r\n0.5,-0.0,1\r\n0.25,0.75,2\r\n", True, True),
     "cr": ("x1,x2,label\r0.5,-0.0,1\r0.25,0.75,2", True, True),
     "form-feed-vertical-tab": ("x1,x2,label\n0.5,\f1,1\n\v0.25,0.75,2\n", True, True),
@@ -479,6 +480,13 @@ class TestBulkReader:
         path = tmp_path / "ragged.csv"
         path.write_text(READER_CASES["short-then-long"][0])
         message = re.escape(f"{path}: line 2: expected 3 cells, got 2")
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+
+    def test_non_finite_coordinate_before_a_bad_label_is_reported(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("x1,label\ninf,1\n1,abc\n")
+        message = re.escape(f"{path}: line 2: non-finite coordinate")
         with pytest.raises(DataError, match=message):
             read_csv(path)
 

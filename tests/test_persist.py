@@ -95,6 +95,14 @@ class TestRoundTrip:
         queries = rng.uniform(-2, 2, size=(50, 2))
         np.testing.assert_array_equal(scores_batch(model, queries), scores_batch(loaded, queries))
 
+    def test_numpy_policy_value_saves_as_float(self, rng, tmp_path):
+        data = random_joint_dataset(rng, 2, 2, [20, 20])
+        model = fit(data, degree=2, policy=ThresholdPolicy("rel", np.int64(0)))
+        path = tmp_path / "model.cfm"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert type(loaded.policy.value) is float and loaded.policy == model.policy
+
     def test_metadata_readable_without_arrays(self, rng, tmp_path):
         model = fitted_model(rng)
         path = tmp_path / "model.cfm"
