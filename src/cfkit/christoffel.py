@@ -10,24 +10,35 @@ is the value of the convex program
     min { integral of p^2 dphi : p a polynomial of degree <= t, p(x) = 1 }.
 
 Discrete measures on N points give moment matrices of rank at most N, so
-singular matrices are the normal case here, not an error.  The evaluator
-keeps the eigenpairs above a threshold; query points whose monomial vector
-leaves the retained eigenspace get L = 0, exactly as the variational form
-dictates (some polynomial vanishing on the sample is nonzero at x, so the
-infimum is 0).  The inverse score q = 1/L is reported as ``inf`` there.
+singular matrices are the normal case here, not an error.  There are two
+factorizations.
 
-Scoring is one matrix product per evaluator and block of query rows, as
-``moments.basis_blocks`` yields them to moment assembly too.  Evaluators
-at several degrees of one basis kind share the block's basis
-values: a degree-t basis is the leading block of every larger one, so
-each evaluator reads the leading columns of its size.  The evaluator
+The eigen form (:func:`build_evaluator`) keeps the eigenpairs above a
+threshold; query points whose monomial vector leaves the retained
+eigenspace get L = 0, exactly as the variational form dictates (some
+polynomial vanishing on the sample is nonzero at x, so the infimum is 0).
+The inverse score q = 1/L is reported as ``inf`` there.  The evaluator
 holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
 inverse square roots of their eigenvalues, then an orthonormal basis D of
 the complement of their span, derived from E alone.  With Y = V W, the
 row sums of the first ``rank`` squared columns are q, and the remaining
-columns hold the projection of v(x) off the retained eigenspace.  V and
-Y are column-major, the layout in which BLAS writes Y fastest, and the
-row sums go to contiguous memory before they are stored in a score column.
+columns hold the projection of v(x) off the retained eigenspace.
+
+The ridge form (:func:`ridge_factor`, :class:`RidgeEvaluator`) scores the
+regularized Christoffel function of M + eps I = L L^T: with R = L^-T,
+upper triangular, q(x) is the row sum of the squared entries of v(x) R.
+The basis is graded and eps is absolute, so the leading s_t x s_t block
+of R is the factor at degree t, and one factor serves every degree up to
+the one it was built at.
+
+Scoring is one matrix product per block of query rows, as
+``moments.basis_blocks`` yields them to moment assembly too, and per
+eigen-form evaluator or shared ridge factor.  Evaluators at several
+degrees of one basis kind share the block's basis values: a degree-t
+basis is the leading block of every larger one, so each evaluator reads
+the leading columns of its size.  V and Y are column-major, the layout
+in which BLAS writes Y fastest, and the row sums go to contiguous memory
+before they are stored in a score column.
 """
 
 from __future__ import annotations
@@ -57,6 +68,8 @@ class ThresholdPolicy:
     value finite and >= 0.  ``tikhonov`` adds value * I, with value finite
     and > 0, and keeps the full spectrum, which makes every score strictly
     positive at the cost of the exact rank and trace identities.
+    :func:`build_evaluator` factors either by ``eigh``; a classifier fit
+    factors ``tikhonov`` by Cholesky (:func:`ridge_factor`).
     """
 
     mode: str = "rel"
@@ -112,6 +125,9 @@ class ChristoffelEvaluator:
         Total mass of the measure the matrix came from.
     """
 
+    # An eigen-form evaluator shares no ridge factor (see RidgeEvaluator).
+    factor = None
+
     def __init__(self, basis, eigenvalues, eigenvectors, threshold, mass):
         self.basis = basis
         self.eigenvalues = eigenvalues
@@ -128,6 +144,53 @@ class ChristoffelEvaluator:
     @property
     def rank(self) -> int:
         return self.eigenvalues.shape[0]
+
+
+class RidgeEvaluator(ChristoffelEvaluator):
+    """The ridge form: one degree's view of a class's shared ridge factor.
+
+    ``factor`` is the read-only upper-triangular R = L^-T of M + eps I =
+    L L^T at the largest degree fitted, and ``scoring`` is its leading
+    (size, size) block, a view: eps is absolute and the basis graded, so
+    that block is the factor at this degree.  ``rank`` is the basis size,
+    ``threshold`` is 0.0, and ``basis`` and ``mass`` are as above.
+    """
+
+    eigenvalues = eigenvectors = None
+    threshold = 0.0
+
+    def __init__(self, basis, factor, mass):
+        self.basis = basis
+        self.factor = factor
+        self.mass = float(mass)
+        self.scoring = factor[: basis.size, : basis.size]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.size
+
+
+def ridge_factor(gram: np.ndarray, ridge: float) -> np.ndarray:
+    """The read-only upper-triangular R = L^-T of ``gram + ridge * I = L L^T``.
+
+    Uses only ``numpy.linalg.cholesky`` and ``inv``; the entries below the
+    diagonal of R are exact zeros.  A matrix that the ridge does not make
+    positive definite, or a factor that is not finite, raises
+    :class:`NumericalError`.
+    """
+    failed = (
+        f"moment matrix plus the ridge tikhonov:{ridge!r} is not positive definite "
+        "in floating point; rescale the points, lower the degree or raise the ridge"
+    )
+    try:
+        lower = np.linalg.cholesky(gram + ridge * np.eye(gram.shape[0]))
+    except np.linalg.LinAlgError:
+        raise NumericalError(failed) from None
+    factor = np.triu(np.linalg.inv(lower).T)
+    if not np.isfinite(factor).all():
+        raise NumericalError(failed)
+    factor.flags.writeable = False
+    return factor
 
 
 def build_evaluator(
@@ -179,14 +242,17 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     Returns shape (rows, len(evaluators)).  Each evaluator's basis must be
     a leading block of the largest one, as the bases of one kind at several
     degrees are; any other basis raises ValueError.  The largest basis is
-    evaluated once per row chunk, and each evaluator scores the chunk's
-    leading columns of its own basis size, writing its product into the
-    column-major ``spare`` of :func:`moments.basis_blocks`.  The result is
-    C-ordered.  Points off an evaluator's retained eigenspace get ``inf``
-    in its column.  So do points so far out that their basis values or
-    scores overflow: a q that is not finite is reported as ``inf``,
-    without floating-point warnings, and every other row is computed
-    exactly as it would be without them.
+    evaluated once per row chunk.  Each eigen-form evaluator, and each
+    ridge factor that evaluators share, multiplies the chunk's leading
+    columns once, at the widest basis size its evaluators read, into the
+    column-major ``spare`` of :func:`moments.basis_blocks`; each evaluator
+    then sums the squares of its own leading columns.  The products run
+    over the padded rows of the chunk.  The result is C-ordered.  Points
+    off an eigen-form evaluator's retained eigenspace get ``inf`` in its
+    column.  So do points so far out that their basis values or scores
+    overflow: a q that is not finite is reported as ``inf``, without
+    floating-point warnings, and every other row is computed exactly as it
+    would be without them.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -195,24 +261,36 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     for ev in evaluators:
         if not _leads(ev.basis, basis):
             raise ValueError("evaluator bases must be leading blocks of the largest one")
+    # Evaluator indices per product: the ones reading one ridge factor, or one eigen form.
+    shared = {}
+    for k, ev in enumerate(evaluators):
+        shared.setdefault(id(ev) if ev.factor is None else id(ev.factor), []).append(k)
+    products = [
+        (max((evaluators[k] for k in ks), key=lambda ev: ev.basis.size).scoring, ks)
+        for ks in shared.values()
+    ]
     q = np.empty((pts.shape[0], len(evaluators)))
     with np.errstate(over="ignore", invalid="ignore"):
         for block, values, spare in basis_blocks(basis, pts):
+            rows = block.stop - block.start
             # ||v||^2 per basis size, for the evaluators that need it.
             norms = {}
-            for k, ev in enumerate(evaluators):
-                s, rank = ev.basis.size, ev.rank
-                if rank < s and s not in norms:
-                    norms[s] = np.einsum("ij,ij->i", values[:, :s], values[:, :s])
-                Y = np.matmul(values[:, :s], ev.scoring, out=spare[:, :s])
-                kept, off = Y[:, :rank], Y[:, rank:]
-                # Row sums go to contiguous memory, then to q's strided
-                # column: twice as fast as summing into the column.
-                sums = np.einsum("ij,ij->i", kept, kept)
-                if rank < s:
-                    # Squared norms on both sides: no square root per row.
-                    sums[np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norms[s]] = np.inf
-                q[block, k] = sums
+            for scoring, ks in products:
+                width = scoring.shape[0]
+                Y = np.matmul(values[:, :width], scoring, out=spare[:, :width])[:rows]
+                for k in ks:
+                    s, rank = evaluators[k].basis.size, evaluators[k].rank
+                    kept, off = Y[:, :rank], Y[:, rank:s]
+                    # Row sums go to contiguous memory, then to q's strided
+                    # column: twice as fast as summing into the column.
+                    sums = np.einsum("ij,ij->i", kept, kept)
+                    if rank < s:
+                        if s not in norms:
+                            head = values[:rows, :s]
+                            norms[s] = np.einsum("ij,ij->i", head, head)
+                        # Squared norms on both sides: no square root per row.
+                        sums[np.einsum("ij,ij->i", off, off) > OFF_RANGE_TOL**2 * norms[s]] = np.inf
+                    q[block, k] = sums
             # Per block, so the mask is no larger than the other working arrays.
             chunk = q[block]
             chunk[~np.isfinite(chunk)] = np.inf
@@ -306,7 +384,9 @@ def orthonormal_polynomials(ev: ChristoffelEvaluator) -> np.ndarray:
     Row k holds the coefficients (in the evaluator's basis) of
     P_k = eigenvector_k / sqrt(eigenvalue_k).  The Gram matrix of these
     polynomials under the original measure is the rank x rank identity,
-    and sum_k P_k(x)^2 equals the inverse score for on-range x.  The
-    rows are a read-only view of the evaluator's scoring matrix.
+    and sum_k P_k(x)^2 equals the inverse score for on-range x.  For the
+    ridge form, P_k is column k of the factor R, and the family is
+    orthonormal under M + eps I.  The rows are a read-only view of the
+    evaluator's scoring matrix.
     """
     return ev.scoring[:, : ev.rank].T

@@ -25,6 +25,7 @@ import numpy as np
 
 from .christoffel import (
     ChristoffelEvaluator,
+    RidgeEvaluator,
     ThresholdPolicy,
     as_row,
     build_evaluator,
@@ -32,6 +33,7 @@ from .christoffel import (
     eval_cf_batch,
     eval_cf_inverse_batch,
     inverse_scores,
+    ridge_factor,
 )
 from .datasets import AffineTransform, scale_to_unit_box
 from .moments import (
@@ -50,6 +52,10 @@ from .multiindex import (
 )
 
 REJECT_LABEL = 0
+# The policy of fit, fit_degrees and the CLI's train and sweep: an absolute
+# ridge, so one Cholesky factor per class scores every degree.  Joint
+# evaluators and ThresholdPolicy() keep the exact pseudo-inverse, rel:1e-10.
+MODEL_POLICY = ThresholdPolicy("tikhonov", 1e-10)
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,8 @@ def fit(
     Inputs are affinely rescaled to [-1, 1]^n before moments are
     assembled (monomial Gram matrices are badly conditioned otherwise);
     pass ``scale=False`` to work in the raw coordinates.  With ``degree``
-    unset a conservative default is derived from the class sizes.  This
+    unset a conservative default is derived from the class sizes.  With
+    ``policy`` unset it is :data:`MODEL_POLICY`.  This
     is the one-degree case of :func:`fit_degrees`: one pass over the data,
     and ``train_score_floor`` is computed on its first read, by one more
     pass over each class's points.
@@ -172,9 +179,12 @@ def fit_degrees(
     moment matrix at ``max(degrees)``, assembled one row block at a time
     (see :func:`empirical_moment_matrix`), so memory does not grow with
     the class size.  The basis is graded, so the degree-t moment matrix is
-    its leading ``s_t x s_t`` block, from which each entry gets its own
-    evaluators.  Each entry computes its own 5% training score floors on the
-    first read of its ``train_score_floor``: one scoring pass over each
+    its leading ``s_t x s_t`` block.  Under a ``tikhonov`` policy, the
+    default, each class gets one :func:`ridge_factor` of that matrix, and
+    each entry's evaluator reads the factor's leading block; under ``rel``
+    each entry gets its own eigen-form evaluator of the block.  Each entry
+    computes its own 5% training score floors on the first read of its
+    ``train_score_floor``: one scoring pass over each
     class's scaled points in that entry's basis.  The entry then drops its
     reference to the points, so they are freed once every entry has read
     its floors or been dropped.  Duplicate and unsorted entries are kept
@@ -195,7 +205,7 @@ def fit_degrees(
     if reject_threshold is not None and not math.isfinite(reject_threshold):
         raise ValueError("reject threshold must be finite")
     if policy is None:
-        policy = ThresholdPolicy()
+        policy = MODEL_POLICY
     if scale:
         transform = scale_to_unit_box(dataset.points)
         dataset = LabeledDataset(transform.forward(dataset.points), dataset.labels, m=dataset.m)
@@ -211,14 +221,18 @@ def fit_degrees(
             measure.points == measure.points[0]
         ):
             warnings.warn(
-                f"class {label}: all points identical, evaluator has rank 1",
+                f"class {label}: all points identical, moment matrix has rank 1",
                 stacklevel=2,
             )
         gram = empirical_moment_matrix(measure, top).entries
+        factor = ridge_factor(gram, policy.value) if policy.mode == "tikhonov" else None
         for k, t in enumerate(degrees):
-            s = bases[t].size
-            block = MomentMatrix(bases[t], gram[:s, :s], measure.mass)
-            evaluators[k].append(build_evaluator(block, policy))
+            if factor is None:
+                s = bases[t].size
+                block = MomentMatrix(bases[t], gram[:s, :s], measure.mass)
+                evaluators[k].append(build_evaluator(block, policy))
+            else:
+                evaluators[k].append(RidgeEvaluator(bases[t], factor, measure.mass))
         points.append(measure.points)
     return [
         ClassifierModel(

@@ -147,15 +147,23 @@ def cmd_train(args):
     size = model.evaluators[0].basis.size
     print(f"degree {model.degree} (basis size {size})")
     for j, ev in enumerate(model.evaluators, start=1):
-        lam_max = float(ev.eigenvalues[0])
-        lam_min = float(ev.eigenvalues[-1])
-        print(
-            f"class {j}: rank {ev.rank}/{size} "
-            f"lambda_max {lam_max:.3e} lambda_min {lam_min:.3e} "
-            f"cond {lam_max / lam_min:.3e}"
-        )
-        if ev.rank < size:
-            print(f"class {j}: rank-deficient moment matrix (pseudo-inverse in use)")
+        if ev.factor is not None:
+            # Cholesky pivots L_kk^2 = 1 / R_kk^2 lie inside the spectrum of M + eps I.
+            pivots = 1.0 / np.diag(ev.scoring) ** 2
+            print(
+                f"class {j}: rank {ev.rank}/{size} ridge {model.policy.value:.3e} "
+                f"pivot_max {pivots.max():.3e} pivot_min {pivots.min():.3e}"
+            )
+        else:
+            lam_max = float(ev.eigenvalues[0])
+            lam_min = float(ev.eigenvalues[-1])
+            print(
+                f"class {j}: rank {ev.rank}/{size} "
+                f"lambda_max {lam_max:.3e} lambda_min {lam_min:.3e} "
+                f"cond {lam_max / lam_min:.3e}"
+            )
+            if ev.rank < size:
+                print(f"class {j}: rank-deficient moment matrix (pseudo-inverse in use)")
     metadata = {"seed": args.seed, "dataset_sha256": persist.file_sha256(args.data)}
     persist.save_model(model, args.out, metadata=metadata)
     print(f"wrote {args.out}")
@@ -332,7 +340,7 @@ def build_parser():
     p.add_argument("--degree", default="auto", help="polynomial degree or 'auto'",
                    type=_flag("--degree", _or_auto(int), lambda v: v is None or v >= 1,
                               "auto or at least 1"))
-    p.add_argument("--threshold-policy", default=ThresholdPolicy().to_string(),
+    p.add_argument("--threshold-policy", default=classifier.MODEL_POLICY.to_string(),
                    type=_flag("--threshold-policy", ThresholdPolicy.from_string),
                    help="rel:<float> (finite, >= 0) or tikhonov:<float> (finite, > 0)")
     p.add_argument("--class-prior-weights", action="store_true",

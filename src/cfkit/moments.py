@@ -59,32 +59,41 @@ def row_blocks(n_rows: int, width: int = 1):
         yield slice(start, min(start + step, n_rows))
 
 
+def _padded(rows: int) -> int:
+    """``rows`` rounded up to a multiple of 16, the row count of every
+    scoring product (see :func:`basis_blocks`)."""
+    return -(-rows // 16) * 16
+
+
 def basis_blocks(basis: MonomialBasis, points: np.ndarray):
     """The basis values of ``points``, one ``row_blocks`` block at a time.
 
     Yields ``(block, values, spare)`` for each block: ``values`` holds the
-    block's basis values, shape (rows, basis.size), and ``spare`` is an
-    array of that shape for the caller's product.  Both are contiguous and
-    column-major, the layout the recurrence writes fastest and that
-    OpenBLAS fills fastest as a product's output (the 1440-row block of a
-    91-entry basis times a 91 x 91 matrix: 0.63 ms column-major, 0.82 ms
-    row-major, with the same bits).  Each holds at most ``BLOCK_FLOATS``
-    values unless one row is wider, so a pass holds at most 2 MiB of them
-    whatever the basis size.  A short last block is contiguous too, so
-    that numpy buffers only the coordinate of each multiply in
-    :func:`eval_monomials_batch`, not its blocks of parent and output
-    columns.
+    block's basis values, then zero rows up to a multiple of 16, shape
+    (``_padded(rows)``, basis.size), and ``spare`` is an array of that
+    shape for the caller's product.  Both are contiguous and column-major,
+    the layout the recurrence writes fastest and that OpenBLAS fills
+    fastest as a product's output (the 1440-row block of a 91-entry basis
+    times a 91 x 91 matrix: 0.63 ms column-major, 0.82 ms row-major, with
+    the same bits).  A product over the padded rows has the same bits
+    under 1 and 2 OpenBLAS threads; over a row count that is not a
+    multiple of 8, its last rows differ between the two from about 28
+    columns on.  Moment assembly reads only the block's rows.  Each holds
+    at most ``BLOCK_FLOATS`` values, plus the pad, unless one row is
+    wider, so a pass holds about 2 MiB of them whatever the basis size.
     Both are rewritten at the next block.  They come from one allocation
     per call, in place of fresh arrays per block, which also keeps glibc
     from returning the memory to the system after each call: freeing a
     chunk this large raises its trim threshold to twice the chunk, so the
     next call reuses the pages instead of faulting them in again.
     """
-    work = np.empty((2, basis.size * min(block_rows(basis.size), points.shape[0])))
+    work = np.empty((2, basis.size * _padded(min(block_rows(basis.size), points.shape[0]))))
     for block in row_blocks(points.shape[0], basis.size):
-        used = basis.size * (block.stop - block.start)
+        rows = block.stop - block.start
+        used = basis.size * _padded(rows)
         values = work[0, :used].reshape(basis.size, -1).T
-        eval_monomials_batch(basis, points[block], out=values)
+        eval_monomials_batch(basis, points[block], out=values[:rows])
+        values[rows:] = 0.0
         yield block, values, work[1, :used].reshape(basis.size, -1).T
 
 
@@ -224,6 +233,7 @@ def _gram(basis: MonomialBasis, points: np.ndarray, weights: np.ndarray) -> np.n
     total = np.zeros((basis.size, basis.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for block, values, _ in basis_blocks(basis, points):
+            values = values[: block.stop - block.start]
             values *= np.sqrt(weights[block])[:, None]
             total += values.T @ values
     if not np.all(np.isfinite(total)):

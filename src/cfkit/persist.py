@@ -2,7 +2,10 @@
 
 Layout: the magic line ``CFKIT-MODEL 1``, an 8-byte little-endian header
 length, a canonical JSON header (sorted keys, no whitespace), then the
-raw little-endian float64 array payload.  Arrays are restored bit for bit,
+raw little-endian float64 array payload.  Each class is stored in its
+evaluator's form: ``eigenvalues_<k>`` and ``eigenvectors_<k>`` for the
+eigen form, or ``factor_<k>``, the upper-triangular ridge factor at the
+model's degree, for the ridge form.  Arrays are restored bit for bit,
 so a loaded model reproduces scores exactly; two saves of the same model
 produce identical bytes (no timestamps are stored).
 """
@@ -16,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .christoffel import ChristoffelEvaluator, ThresholdPolicy
+from .christoffel import ChristoffelEvaluator, RidgeEvaluator, ThresholdPolicy
 from .classifier import ClassifierModel
 from .datasets import AffineTransform
 from .errors import DataError
@@ -42,8 +45,11 @@ def save_model(model: ClassifierModel, path, metadata: dict | None = None) -> No
     ]
     classes = []
     for k, ev in enumerate(model.evaluators, start=1):
-        arrays.append((f"eigenvalues_{k}", ev.eigenvalues))
-        arrays.append((f"eigenvectors_{k}", ev.eigenvectors))
+        if ev.factor is None:
+            arrays.append((f"eigenvalues_{k}", ev.eigenvalues))
+            arrays.append((f"eigenvectors_{k}", ev.eigenvectors))
+        else:
+            arrays.append((f"factor_{k}", ev.scoring))
         classes.append(
             {"threshold": ev.threshold, "mass": ev.mass, "rank": ev.rank}
         )
@@ -132,35 +138,40 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
     # bytes.  That size C(n + degree, n) is above max(n, degree) and at least
     # 2 ** min(n, degree), so the first test keeps math.comb from running
     # long on a crafted header.
-    rows = len(arrays["eigenvectors_1"])
+    factored = "factor_1" in arrays
+    rows = len(arrays["factor_1" if factored else "eigenvectors_1"])
     if not (max(n, degree) < rows and min(n, degree) < rows.bit_length()):
-        raise ValueError("n or degree is too large for the eigenvector rows")
+        raise ValueError("n or degree is too large for the stored rows")
     size = basis_dimension(n, degree)
-    spectra = [
-        (arrays[f"eigenvalues_{k}"], arrays[f"eigenvectors_{k}"])
-        for k in range(1, m + 1)
-    ]
-    for eigenvalues, eigenvectors in spectra:
-        expected = (size, eigenvalues.size)
-        if eigenvalues.ndim != 1 or not eigenvalues.size or eigenvectors.shape != expected:
-            raise ValueError("eigenvector shape does not match the basis")
-        if not (_positive(eigenvalues) and np.isfinite(eigenvectors).all()):
-            raise ValueError("eigenvalues must be finite and > 0, eigenvectors finite")
+    if factored:
+        forms = [arrays[f"factor_{k}"] for k in range(1, m + 1)]
+        for factor in forms:
+            if factor.shape != (size, size) or not np.isfinite(factor).all():
+                raise ValueError("factor must be a finite basis-size square")
+            if np.tril(factor, -1).any() or not _positive(np.diag(factor)):
+                raise ValueError("factor must be upper triangular with a diagonal > 0")
+            factor.flags.writeable = False
+    else:
+        forms = [
+            (arrays[f"eigenvalues_{k}"], arrays[f"eigenvectors_{k}"])
+            for k in range(1, m + 1)
+        ]
+        for eigenvalues, eigenvectors in forms:
+            expected = (size, eigenvalues.size)
+            if eigenvalues.ndim != 1 or not eigenvalues.size or eigenvectors.shape != expected:
+                raise ValueError("eigenvector shape does not match the basis")
+            if not (_positive(eigenvalues) and np.isfinite(eigenvectors).all()):
+                raise ValueError("eigenvalues must be finite and > 0, eigenvectors finite")
     basis = enumerate_basis(n, degree)
     evaluators = []
-    for (eigenvalues, eigenvectors), info in zip(spectra, header["classes"]):
+    for form, info in zip(forms, header["classes"]):
         threshold, mass = info["threshold"], info["mass"]
         if not (_number(threshold) and threshold >= 0 and _number(mass) and mass > 0):
             raise ValueError("class threshold must be a number >= 0, mass one > 0")
-        evaluators.append(
-            ChristoffelEvaluator(
-                basis=basis,
-                eigenvalues=eigenvalues,
-                eigenvectors=eigenvectors,
-                threshold=threshold,
-                mass=mass,
-            )
-        )
+        if factored:
+            evaluators.append(RidgeEvaluator(basis, form, mass))
+        else:
+            evaluators.append(ChristoffelEvaluator(basis, *form, threshold, mass))
     reject = header["reject_threshold"]
     if reject is not None and not _number(reject):
         raise ValueError("reject threshold must be a finite number")

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfkit import EmpiricalMeasure, LabeledDataset, ShapeSpec, fit, gen_shapes
+from cfkit import EmpiricalMeasure, LabeledDataset, ShapeSpec, ThresholdPolicy, fit, gen_shapes
 from cfkit.moments import EVAL_CHUNK
 
 THREE_SHAPES = [
@@ -82,15 +82,23 @@ MALFORMED_HEADERS = {
     "threshold-negative": lambda h: {**h, "classes": _each_class(h, threshold=-1e-3)},
     "mass-true": lambda h: {**h, "classes": _each_class(h, mass=True)},
     "mass-past-float": lambda h: {**h, "classes": _each_class(h, mass=10**400)},
-    "eigenvectors-flat": lambda h: {
-        **h,
-        "arrays": [
-            {**a, "shape": [a["shape"][0] * a["shape"][1]]}
-            if a["name"] == "eigenvectors_1" else a
-            for a in h["arrays"]
-        ],
+    "eigenvectors-flat": lambda h: reshape_array(h, "eigenvectors_1", lambda r, c: [r * c]),
+    "factor-flat": lambda h: reshape_array(h, "factor_1", lambda r, c: [r * c]),
+    "factor-not-square": lambda h: reshape_array(h, "factor_1", lambda r, c: [r, c - 1]),
+    "factor-one-row-short": lambda h: reshape_array(h, "factor_2", lambda r, c: [r - 1, c - 1]),
+    "factor-missing": lambda h: {
+        **h, "arrays": [a for a in h["arrays"] if a["name"] != "factor_2"]
     },
 }
+
+
+def reshape_array(header, name, shape):
+    """``header`` with the stored (rows, columns) shape of array ``name``
+    replaced by ``shape(rows, columns)``."""
+    arrays = [{**a, "shape": shape(*a["shape"])} if a["name"] == name else a
+              for a in header["arrays"]]
+    assert arrays != header["arrays"], f"no array {name}"
+    return {**header, "arrays": arrays}
 
 
 def rewrite_header(path, edit):
@@ -104,14 +112,15 @@ def rewrite_header(path, edit):
     )
 
 
-def set_model_float(path, name, value):
-    """Overwrite the first float of the payload array ``name`` of a model file."""
+def set_model_float(path, name, value, index=0):
+    """Overwrite float ``index`` (in row-major order) of the payload array
+    ``name`` of a model file."""
     raw = bytearray(path.read_bytes())
     start = len(b"CFKIT-MODEL 1\n") + 8
     (length,) = struct.unpack("<Q", raw[start - 8 : start])
     header = json.loads(raw[start : start + length])
     (entry,) = [a for a in header["arrays"] if a["name"] == name]
-    at = start + length + entry["offset"]
+    at = start + length + entry["offset"] + 8 * index
     raw[at : at + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(raw))
 
@@ -156,8 +165,8 @@ def rank_deficient():
 
     Class 1 lies on the circle of centre (-3, 0) and radius 1.  Polynomials
     of degree <= t restricted to a conic span 2t + 1 dimensions, so its
-    moment matrix has rank 11 of 21 whatever the sample size, and points
-    off the circle score 0.  The annulus keeps full rank and scores > 0.
+    moment matrix has rank 11 of 21 whatever the sample size, and under the
+    exact rule (``ThresholdPolicy()``) points off the circle score 0.  The annulus keeps full rank and scores > 0.
     """
     degree, count = 5, 1500
     angles = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, count)
@@ -167,10 +176,21 @@ def rank_deficient():
         np.vstack([circle, rest.points]),
         np.concatenate([np.ones(count, dtype=np.int64), rest.labels]),
     )
-    model = fit(train, degree=degree)
+    model = fit(train, degree=degree, policy=ThresholdPolicy())
     circle_ev = model.evaluators[0]
     assert (circle_ev.rank, circle_ev.basis.size) == (2 * degree + 1, 21)
     return train, model
+
+
+@pytest.fixture
+def no_eigen_routines(monkeypatch):
+    """numpy.linalg's eigen, SVD and QR routines, patched to raise."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an eigen, SVD or QR routine was called")
+
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, unreachable)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import numpy as np
 from cfkit import (
     LabeledDataset,
     ShapeSpec,
+    ThresholdPolicy,
     build_evaluator,
     classify_batch,
     empirical_moment_matrix,
@@ -177,7 +178,8 @@ def test_05_joint_formula_equalities():
             [np.full(c, j + 1, dtype=np.int64) for j, c in enumerate(counts)]
         )
         data = LabeledDataset(np.vstack(blocks), labels, m=m)
-        model = fit(data, degree=t, scale=False)
+        # The joint matrix is factored by the exact rule, so the classes are too.
+        model = fit(data, degree=t, policy=ThresholdPolicy(), scale=False)
         joint = tensor_cf(data, t, weighting="per_class")
         theta = make_theta(m)
         queries = rng.uniform(-1.1, 1.1, size=(5, n))

@@ -241,7 +241,7 @@ class TestNestedScoring:
         # The circle class is rank-deficient at every degree, so each
         # degree's off-range test needs the norm of its own leading columns.
         train, _ = rank_deficient
-        models = fit_degrees(train, [2, 4, 8])
+        models = fit_degrees(train, [2, 4, 8], policy=ThresholdPolicy())
         queries = models[0].transform.forward(chunk_crossing_queries())
         # Far out: off range or huge at every degree; then overflowing.
         extra = [[40.0, -40.0], [1e200, 0.5], [0.5, -1e200]]
@@ -252,6 +252,21 @@ class TestNestedScoring:
             np.testing.assert_array_equal(got[:, k], eval_cf_inverse_batch(ev, queries))
         assert np.isfinite(got).any() and np.isinf(got[:-3]).any()
         assert np.isinf(got[-2:]).all()
+
+    def test_shared_factor_matches_separate_scoring(self, rank_deficient):
+        # Under the ridge default each class's degrees read one factor and
+        # share one product per block, at the widest size; each column is
+        # bit for bit its evaluator's alone, a product of its own size.
+        train, _ = rank_deficient
+        models = fit_degrees(train, [2, 8, 4])
+        queries = models[0].transform.forward(chunk_crossing_queries())
+        queries = np.vstack([queries, [[40.0, -40.0], [1e200, 0.5]]])
+        evaluators = [ev for model in models for ev in model.evaluators]
+        assert len({id(ev.factor) for ev in evaluators}) == train.m
+        got = inverse_scores(evaluators, queries)
+        for k, ev in enumerate(evaluators):
+            np.testing.assert_array_equal(got[:, k], eval_cf_inverse_batch(ev, queries))
+        assert np.isfinite(got[:-1]).all() and np.isinf(got[-1]).all()
 
     @pytest.mark.parametrize(
         "other",

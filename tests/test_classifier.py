@@ -33,6 +33,7 @@ from cfkit import (
     gen_shapes,
     joint_cf,
     joint_moment_matrix,
+    load_model,
     make_theta,
     moments,
     sandwich_check,
@@ -117,7 +118,8 @@ class TestInterpolationBasis:
 
 class TestFit:
     def test_hand_model_inverse_scores(self):
-        model = fit(hand_dataset(), degree=1, scale=False)
+        # The closed form is the exact pseudo-inverse's.
+        model = fit(hand_dataset(), degree=1, policy=ThresholdPolicy(), scale=False)
         for x in (-1.0, 0.0, 0.5, 2.0, 4.0):
             sc = scores(model, [x])
             assert 1.0 / sc[0] == pytest.approx(1.0 + 1.5 * x * x, rel=1e-10)
@@ -126,8 +128,9 @@ class TestFit:
             )
 
     def test_scaling_preserves_scores(self):
-        raw = fit(hand_dataset(), degree=1, scale=False)
-        scaled = fit(hand_dataset(), degree=1, scale=True)
+        # An absolute ridge depends on the coordinates; the exact rule does not.
+        raw = fit(hand_dataset(), degree=1, policy=ThresholdPolicy(), scale=False)
+        scaled = fit(hand_dataset(), degree=1, policy=ThresholdPolicy(), scale=True)
         queries = np.linspace(-1.5, 4.5, 13)[:, None]
         np.testing.assert_allclose(
             scores_batch(raw, queries), scores_batch(scaled, queries), rtol=1e-9
@@ -153,8 +156,20 @@ class TestFit:
         pts = np.array([[0.0], [0.0], [1.0], [2.0]])
         data = LabeledDataset(pts, [1, 1, 2, 2])
         with pytest.warns(UserWarning, match="rank 1"):
-            model = fit(data, degree=1)
+            model = fit(data, degree=1, policy=ThresholdPolicy())
         assert model.evaluators[0].rank == 1
+
+    def test_ridge_path_calls_no_eigen_routine(self, rng, tmp_path, no_eigen_routines):
+        # The default model is fitted, saved, loaded and scored by Cholesky
+        # and a triangular inverse alone.
+        data = random_joint_dataset(rng, 2, 3, [200, 150, 250])
+        model = fit(data, degree=8)
+        path = tmp_path / "model.cfm"
+        save_model(model, path)
+        loaded = load_model(path)
+        queries = chunk_crossing_queries()
+        np.testing.assert_array_equal(scores_batch(model, queries), scores_batch(loaded, queries))
+        assert np.all(scores_batch(loaded, data.points) > 0)
 
     def test_train_score_floor_shape(self, rng):
         data = random_joint_dataset(rng, 1, 3, [20, 20, 20])
@@ -205,6 +220,33 @@ class TestFitDegrees:
             assert (tmp_path / "list.cfm").read_bytes() == (
                 tmp_path / "fit.cfm"
             ).read_bytes()
+
+    def test_one_factor_per_class_scores_every_degree(self):
+        # A box and a disk that fill the unit box: each factor's smallest
+        # Cholesky pivot stays above 1e-7 to t = 8, so rounding, which the
+        # factor amplifies by about its condition, stays below 1e-10
+        # relative.  (Two disks, whose pivots fall to 5e-9 at t = 6, agree
+        # to about 2e-7; TestFitDegrees' first test bounds such data.)
+        specs = [
+            ShapeSpec(kind="box", label=1, low=(-1.0, -1.0), high=(1.0, 1.0)),
+            ShapeSpec(kind="disk", label=2, center=(0.0, 0.0), radius=1.0),
+        ]
+        data = gen_shapes(specs, 500, seed=3)
+        queries = np.vstack([data.points, gen_shapes(specs, 300, seed=4).points])
+        models = fit_degrees(data, [2, 4, 6, 8])
+        for k in range(data.m):
+            evaluators = [model.evaluators[k] for model in models]
+            factor = evaluators[0].factor
+            assert factor.shape == (45, 45) and not factor.flags.writeable
+            assert all(ev.factor is factor and np.shares_memory(ev.scoring, factor)
+                       for ev in evaluators)
+            assert (1.0 / np.diag(factor) ** 2).min() > 1e-7
+        for model in models:
+            alone = fit(data, degree=model.degree)
+            np.testing.assert_allclose(
+                1.0 / scores_batch(model, queries), 1.0 / scores_batch(alone, queries),
+                rtol=1e-10, atol=0,
+            )
 
     def test_one_pass_over_the_data(self, monkeypatch):
         """The fit evaluates each training row once, in the largest basis.
@@ -340,7 +382,7 @@ class TestClassify:
         assert classify(model, [3.0]) == 2
 
     def test_scores_at_hand_points(self):
-        model = fit(hand_dataset(), degree=1)
+        model = fit(hand_dataset(), degree=1, policy=ThresholdPolicy())
         np.testing.assert_allclose(
             scores(model, [0.0]), [1.0, 1.0 / 14.5], rtol=1e-9
         )
@@ -743,11 +785,6 @@ class TestSeparation:
 
 
 class TestHighDegree:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Gram eigenvalue cutoff discards real mass from t = 6 on "
-        "(ROADMAP item 1)",
-    )
     def test_two_disks_keep_their_own_points(self):
         specs = [
             ShapeSpec(kind="disk", label=1, center=(-2.0, 0.0), radius=1.0),
@@ -757,6 +794,16 @@ class TestHighDegree:
         test = gen_shapes(specs, 500, seed=22)
         rows = np.arange(train.n_points)
         for t in (6, 8, 12):
+            model = fit(train, degree=t)
+            own = scores_batch(model, train.points)[rows, train.labels - 1]
+            assert (own == 0).mean() == 0.0, t
+            assert (classify_batch(model, test.points) == test.labels).mean() == 1.0, t
+
+    def test_three_shapes_keep_their_own_points(self):
+        train = gen_shapes(THREE_SHAPES, 300, seed=31)
+        test = gen_shapes(THREE_SHAPES, 300, seed=32)
+        rows = np.arange(train.n_points)
+        for t in (6, 8, 12, 14):
             model = fit(train, degree=t)
             own = scores_batch(model, train.points)[rows, train.labels - 1]
             assert (own == 0).mean() == 0.0, t

@@ -172,8 +172,54 @@ class TestTrain:
         data = tmp_path / "data.csv"
         run("synth", spec_file, "--n", 10, "--seed", 7, "--out", data)
         model = tmp_path / "model.cfm"
-        assert run("train", data, "--degree", 5, "--out", model) == 0
+        # The exact rule finds the rank loss; the ridge default keeps every direction.
+        argv = ("train", data, "--degree", 5, "--out", model)
+        assert run(*argv, "--threshold-policy", "rel:1e-10") == 0
         assert "rank-deficient" in capsys.readouterr().out
+
+    def test_ridge_report(self, tmp_path, spec_file, capsys):
+        data = tmp_path / "data.csv"
+        run("synth", spec_file, "--n", 500, "--seed", 7, "--out", data)
+        model = tmp_path / "model.cfm"
+        capsys.readouterr()
+        assert run("train", data, "--degree", 8, "--out", model) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "degree 8 (basis size 45)"
+        pivots = []
+        for j, line in enumerate(lines[1:3], start=1):
+            words = line.split()
+            assert words[:7] == ["class", f"{j}:", "rank", "45/45", "ridge", "1.000e-10",
+                                 "pivot_max"]
+            assert words[8] == "pivot_min" and len(words) == 10
+            pivots.append((float(words[7]), float(words[9])))
+        assert lines[3:] == [f"wrote {model}"]
+        # Cholesky pivots lie in the spectrum of M + eps I: above the ridge,
+        # and below the trace, which is at most the basis size on [-1, 1]^2.
+        factors = [ev.scoring for ev in load_model(model).evaluators]
+        for (top, low), factor in zip(pivots, factors):
+            assert 1e-10 <= low <= top <= 45.0
+            expected = 1.0 / np.diag(factor) ** 2
+            assert (top, low) == (float(f"{expected.max():.3e}"), float(f"{expected.min():.3e}"))
+
+    def test_ridge_commands_call_no_eigen_routine(self, tmp_path, spec_file, no_eigen_routines):
+        data, model = tmp_path / "data.csv", tmp_path / "model.cfm"
+        assert run("synth", spec_file, "--n", 300, "--seed", 2, "--out", data) == 0
+        assert run("train", data, "--degree", 6, "--out", model) == 0
+        assert run("predict", model, data, "--out", tmp_path / "p.csv") == 0
+        assert run("levelset", model, "--bounds=-3:3,-1:1", "--grid-res", 9,
+                   "--out", tmp_path / "g.csv") == 0
+
+    def test_ridge_that_does_not_factor_exits_4(self, tmp_path, capsys):
+        # Unscaled coordinates near 1e3 give degree-8 moments near 1e48, whose
+        # rounding swamps an absolute ridge of 1e-10.
+        rows = np.random.default_rng(4).uniform(1e3, 1.001e3, size=(200, 2))
+        data = tmp_path / "data.csv"
+        datasets.write_csv(datasets.LabeledDataset(rows, [1] * 100 + [2] * 100), data)
+        argv = ("train", data, "--no-scale", "--degree", 8, "--out", tmp_path / "m.cfm")
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert "ridge tikhonov:1e-10 is not positive definite" in err
+        assert not (tmp_path / "m.cfm").exists()
 
     def test_rerun_identical_model_bytes(self, tmp_path, spec_file):
         data = tmp_path / "data.csv"
@@ -277,7 +323,8 @@ class TestPredict:
             "x1,label\n-1.0,1\n0.0,1\n1.0,1\n2.0,2\n3.0,2\n4.0,2\n"
         )
         model = tmp_path / "model.cfm"
-        run("train", train, "--degree", 1, "--out", model)
+        # The exact rule, whose scores the hand queries check in closed form.
+        run("train", train, "--degree", 1, "--threshold-policy", "rel:1e-10", "--out", model)
         return model
 
     def test_hand_queries(self, tmp_path, hand_model):
@@ -903,20 +950,23 @@ PINNED_DIGESTS = {
     "report.txt": "592a28f065031777256c150b67cf69ab711d7255e7064d088dcb09c5b2f63a6b",
     "grid.csv": "d2c4f60caad142f90e4a786d54fb178b0aab16dcf3ad09f25e55c5901092cf67",
 }
+# The default ridge changes the model, the scores and the grid, not the report.
+PINNED_RIDGE_DIGESTS = {
+    **PINNED_DIGESTS,
+    "model.cfm": "ce7db6ef00e823bad6ef0e811838e29f36fa036a427652d3947a36bb61fa59aa",
+    "predict.csv": "21f1e58f9fb60ddbb8ae9d5f18034528ec56f51623d088e56ee0b2f3b345c832",
+    "grid.csv": "7a8f6eb92305495ace00a30a7bc08a714f1a6d936868ff478f3128a3eff1537f",
+}
 
 
-def test_pinned_output_bytes(tmp_path, spec_file):
-    """synth, train, predict, eval and levelset write the recorded bytes.
-
-    The model and score digests hold for the LAPACK and BLAS results of
-    numpy 2.4 with OpenBLAS 0.3 on x86-64; the two synth CSVs depend only
-    on numpy's PCG64 stream and ``repr``.
-    """
+def pinned_digests(tmp_path, spec_file, *policy):
+    """The digests of the pinned pipeline's outputs, trained with ``policy``
+    flags, or with the default policy when there are none."""
     out = {name: tmp_path / name for name in PINNED_DIGESTS}
     for argv in (
         ("synth", spec_file, "--n", 150, "--seed", 11, "--out", out["train.csv"]),
         ("synth", spec_file, "--n", 100, "--seed", 12, "--out", out["test.csv"]),
-        ("train", out["train.csv"], "--degree", 4, "--out", out["model.cfm"]),
+        ("train", out["train.csv"], "--degree", 4, *policy, "--out", out["model.cfm"]),
         ("predict", out["model.cfm"], out["test.csv"], "--out", out["predict.csv"]),
         ("eval", out["model.cfm"], out["test.csv"], "--shapes", spec_file,
          "--out", out["report.txt"]),
@@ -924,8 +974,22 @@ def test_pinned_output_bytes(tmp_path, spec_file):
          "--grid-res", 40, "--out", out["grid.csv"]),
     ):
         assert run(*argv) == 0
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
-    assert digests == PINNED_DIGESTS
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+
+
+def test_pinned_output_bytes(tmp_path, spec_file):
+    """synth, train, predict, eval and levelset write the recorded bytes.
+
+    The model and score digests hold for the LAPACK and BLAS results of
+    numpy 2.4 with OpenBLAS 0.3 on x86-64; the two synth CSVs depend only
+    on numpy's PCG64 stream and ``repr``.  This set is the exact rule's.
+    """
+    assert pinned_digests(tmp_path, spec_file, "--threshold-policy", "rel:1e-10") == PINNED_DIGESTS
+
+
+def test_pinned_ridge_output_bytes(tmp_path, spec_file):
+    """The same pipeline under the default ridge writes its recorded bytes."""
+    assert pinned_digests(tmp_path, spec_file) == PINNED_RIDGE_DIGESTS
 
 
 def run_with_blas_threads(threads, *argv):
@@ -981,6 +1045,12 @@ def test_scores_do_not_depend_on_blas_threads(tmp_path, spec_file):
                               "--grid-res", 70, "--out", grid)
         outputs.append((predicted.read_bytes(), grid.read_bytes()))
     assert outputs[0] == outputs[1]
+    # The grid's last 4 of 4900 rows, past the last multiple of 8 in its
+    # 1988-row second block, are the ones an unpadded threaded product
+    # computes apart.  They score above 0 in each class, so they are
+    # compared as numbers and not only as zeros.
+    tail = [line.split(",") for line in outputs[0][1].decode().splitlines()[-4:]]
+    assert all(float(cell) > 0 for row in tail for cell in row[2:4])
 
 
 # Every flag value the parser rejects: (subcommand and its positional

@@ -297,11 +297,14 @@ class TestBasisBlocks:
         for block, values, spare in basis_blocks(basis, points):
             assert block.start == stops[-1]
             stops.append(block.stop)
+            rows = block.stop - block.start
             expected = eval_monomials_batch(basis, points[block])
-            assert values.shape == spare.shape == expected.shape
+            # Padded to a multiple of 16 rows, the pad zeroed.
+            assert values.shape == spare.shape == (-(-rows // 16) * 16, basis.size)
             # Both column-major: the rows of a column are adjacent.
             assert values.strides[0] == spare.strides[0] == values.itemsize
-            assert values.tobytes() == expected.tobytes()
+            assert values[:rows].tobytes() == expected.tobytes()
+            assert not values[rows:].any()
             owners += [values.base, spare.base]
         return stops, owners
 
@@ -329,7 +332,8 @@ class TestBasisBlocks:
         stops, owners = self.walk(basis, points)
         assert stops == [*range(0, 1000, 130), 1000]
         assert all(owner is owners[0] for owner in owners)
-        assert owners[0].size <= 2 * BLOCK_FLOATS
+        # Two arrays of 130 rows padded to 144: BLOCK_FLOATS each, plus the pad.
+        assert owners[0].size == 2 * 144 * basis.size
 
 
 class TestOverflow:

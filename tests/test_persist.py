@@ -10,9 +10,15 @@ from cfkit import (
     DataError,
     LabeledDataset,
     ThresholdPolicy,
+    build_evaluator,
+    class_split,
+    empirical_moment_matrix,
+    enumerate_basis,
     fit,
+    fit_degrees,
     load_metadata,
     load_model,
+    persist,
     save_model,
     scores_batch,
 )
@@ -21,13 +27,15 @@ from conftest import (
     MODEL_CUTS,
     chunk_crossing_queries,
     random_joint_dataset,
+    reshape_array,
     rewrite_header,
+    set_model_float,
 )
 
 
-def fitted_model(rng):
+def fitted_model(rng, policy=None):
     data = random_joint_dataset(rng, 2, 3, [30, 25, 40])
-    return fit(data, degree=3)
+    return fit(data, degree=3, policy=policy)
 
 
 class TestRoundTrip:
@@ -51,6 +59,49 @@ class TestRoundTrip:
         before = scores_batch(model, queries)
         assert (before == 0).any() and (before > 0).any()
         np.testing.assert_array_equal(before, scores_batch(loaded, queries))
+
+    def test_factor_of_a_lower_degree_round_trips(self, rng, tmp_path):
+        # The t = 2 model of a fit_degrees call reads the leading 6 x 6 block
+        # of each class's t = 4 factor; it stores that block alone.
+        data = random_joint_dataset(rng, 2, 3, [30, 25, 40])
+        model = fit_degrees(data, [2, 4])[0]
+        assert model.evaluators[0].factor.shape == (15, 15)
+        path = tmp_path / "model.cfm"
+        save_model(model, path)
+        shapes = {a["name"]: a["shape"] for a in load_metadata(path)["arrays"]}
+        assert [shapes.get(f"factor_{k}") for k in (1, 2, 3)] == [[6, 6]] * 3
+        assert not any(name.startswith("eigen") for name in shapes)
+        loaded = load_model(path)
+        for ours, theirs in zip(model.evaluators, loaded.evaluators):
+            np.testing.assert_array_equal(ours.scoring, theirs.scoring)
+            assert not theirs.scoring.flags.writeable
+        queries = chunk_crossing_queries()
+        np.testing.assert_array_equal(scores_batch(model, queries), scores_batch(loaded, queries))
+
+    def test_eigenpair_tikhonov_file_loads(self, rng, tmp_path):
+        # Before the ridge factor, a tikhonov model was stored as the
+        # eigenpairs of M + eps I, as build_evaluator still computes them.
+        data = random_joint_dataset(rng, 2, 3, [30, 25, 40])
+        ridge = fit(data, degree=3)
+        basis = enumerate_basis(2, 3)
+        scaled = LabeledDataset(ridge.transform.forward(data.points), data.labels)
+        evaluators = [
+            build_evaluator(empirical_moment_matrix(measure, basis), ridge.policy)
+            for measure in class_split(scaled)
+        ]
+        eigen = ClassifierModel(3, 3, evaluators, ridge.transform, ridge.policy,
+                                train_score_floor=ridge.train_score_floor)
+        path = tmp_path / "model.cfm"
+        save_model(eigen, path)
+        names = {a["name"] for a in load_metadata(path)["arrays"]}
+        assert {"eigenvalues_1", "eigenvectors_3"} <= names and "factor_1" not in names
+        loaded = load_model(path)
+        assert loaded.policy == ThresholdPolicy("tikhonov", 1e-10)
+        assert all(ev.factor is None and ev.rank == 10 for ev in loaded.evaluators)
+        queries = chunk_crossing_queries()
+        before = scores_batch(eigen, queries)
+        np.testing.assert_array_equal(before, scores_batch(loaded, queries))
+        np.testing.assert_allclose(before, scores_batch(ridge, queries), rtol=1e-6)
 
     def test_fields_preserved(self, rng, tmp_path):
         data = random_joint_dataset(rng, 1, 2, [12, 12])
@@ -76,6 +127,7 @@ class TestRoundTrip:
             loaded.transform.center, model.transform.center
         )
         for ours, theirs in zip(model.evaluators, loaded.evaluators):
+            np.testing.assert_array_equal(ours.scoring, theirs.scoring)
             np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
             np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
             assert ours.threshold == theirs.threshold
@@ -164,13 +216,47 @@ class TestErrors:
             with pytest.raises(DataError, match=message):
                 load_metadata(path)
 
-    @pytest.mark.parametrize(
-        "edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys()
-    )
-    def test_malformed_header(self, rng, tmp_path, edit):
+    @pytest.mark.parametrize("name", MALFORMED_HEADERS)
+    def test_malformed_header(self, rng, tmp_path, name):
+        path = tmp_path / "model.cfm"
+        # An edit of the eigenpair arrays needs a model stored as eigenpairs.
+        policy = ThresholdPolicy() if name.startswith("eigen") else None
+        save_model(fitted_model(rng, policy), path)
+        rewrite_header(path, MALFORMED_HEADERS[name])
+        message = re.escape(f"{path}: malformed model header")
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_oversized_factor_header_is_rejected_before_the_basis(
+        self, rng, tmp_path, monkeypatch
+    ):
+        # Zero columns cost no payload, so the factor's rows alone do not
+        # bound the basis size; its square shape does.
+        def unreachable(n, t):
+            raise AssertionError("enumerate_basis reached")
+
+        def edit(header):
+            header = reshape_array(header, "factor_1", lambda r, c: [5001, 0])
+            return {**header, "n": 5000}
+
+        monkeypatch.setattr(persist, "enumerate_basis", unreachable)
         path = tmp_path / "model.cfm"
         save_model(fitted_model(rng), path)
         rewrite_header(path, edit)
-        message = re.escape(f"{path}: malformed model header")
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed model header")):
+            load_model(path)
+
+    # Degree 3 in 2-D: each factor is 10 x 10, stored row by row, so float
+    # 0 and 11 are on its diagonal, 1 above it and 10 below it.
+    @pytest.mark.parametrize(
+        "index, value",
+        [(0, 0.0), (11, -1.0), (0, np.nan), (1, np.nan), (1, np.inf), (99, -np.inf),
+         (10, 1e-3), (10, -5e-324)],
+    )
+    def test_out_of_range_factor(self, rng, tmp_path, index, value):
+        path = tmp_path / "model.cfm"
+        save_model(fitted_model(rng), path)
+        assert load_model(path).evaluators[0].scoring.shape == (10, 10)
+        set_model_float(path, "factor_1", value, index)
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed model header")):
             load_model(path)
