@@ -11,25 +11,26 @@ is the value of the convex program
 
 Discrete measures on N points give moment matrices of rank at most N, so
 singular matrices are the normal case here, not an error.  There are two
-factorizations.
+factorizations, and :func:`build_evaluators` alone picks one by policy.
 
-The eigen form (:func:`build_evaluator`) keeps the eigenpairs above a
-threshold; query points whose monomial vector leaves the retained
-eigenspace get L = 0, exactly as the variational form dictates (some
-polynomial vanishing on the sample is nonzero at x, so the infimum is 0).
-The inverse score q = 1/L is reported as ``inf`` there.  The evaluator
-holds W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
-inverse square roots of their eigenvalues, then an orthonormal basis D of
-the complement of their span, derived from E alone.  With Y = V W, the
-row sums of the first ``rank`` squared columns are q, and the remaining
-columns hold the projection of v(x) off the retained eigenspace.
+The eigen form (``rel``) keeps the eigenpairs above a threshold; query
+points whose monomial vector leaves the retained eigenspace get L = 0,
+exactly as the variational form dictates (some polynomial vanishing on
+the sample is nonzero at x, so the infimum is 0).  The inverse score
+q = 1/L is reported as ``inf`` there.  The evaluator holds
+W = [E / sqrt(lambda) | D]: the retained eigenvectors scaled by the
+inverse square roots of their eigenvalues, then an orthonormal basis D
+of the complement of their span, derived from E alone.  With Y = V W,
+the row sums of the first ``rank`` squared columns are q, and the
+remaining columns hold the projection of v(x) off the retained
+eigenspace.
 
-The ridge form (:func:`ridge_factor`, :class:`RidgeEvaluator`) scores the
-regularized Christoffel function of M + eps I = L L^T: with R = L^-T,
-upper triangular, q(x) is the row sum of the squared entries of v(x) R.
-The basis is graded and eps is absolute, so the leading s_t x s_t block
-of R is the factor at degree t, and one factor serves every degree up to
-the one it was built at.
+The ridge form (``tikhonov``; :func:`ridge_factor`, :class:`RidgeEvaluator`)
+scores the regularized Christoffel function of M + eps I = L L^T: with
+R = L^-T, upper triangular, q(x) is the row sum of the squared entries
+of v(x) R.  The basis is graded and eps is absolute, so the leading
+s_t x s_t block of R is the factor at degree t, and one factor serves
+every degree up to the one it was built at.
 
 Scoring is one matrix product per block of query rows, as
 ``moments.basis_blocks`` yields them to moment assembly too, and per
@@ -68,8 +69,8 @@ class ThresholdPolicy:
     value finite and >= 0.  ``tikhonov`` adds value * I, with value finite
     and > 0, and keeps the full spectrum, which makes every score strictly
     positive at the cost of the exact rank and trace identities.
-    :func:`build_evaluator` factors either by ``eigh``; a classifier fit
-    factors ``tikhonov`` by Cholesky (:func:`ridge_factor`).
+    :func:`build_evaluators` factors ``rel`` by a thresholded ``eigh`` and
+    ``tikhonov`` by Cholesky (:func:`ridge_factor`), wherever it is used.
     """
 
     mode: str = "rel"
@@ -120,7 +121,8 @@ class ChristoffelEvaluator:
         arrays above alone, so an evaluator rebuilt from them scores
         bit for bit the same.
     threshold : float
-        Cutoff applied to the spectrum (0.0 in Tikhonov mode).
+        Cutoff applied to the spectrum; 0.0 in the eigenpair ``tikhonov``
+        files written before the ridge factor, which still load.
     mass : float
         Total mass of the measure the matrix came from.
     """
@@ -193,47 +195,48 @@ def ridge_factor(gram: np.ndarray, ridge: float) -> np.ndarray:
     return factor
 
 
-def build_evaluator(
-    M: MomentMatrix, policy: ThresholdPolicy | None = None
-) -> ChristoffelEvaluator:
-    """Factorize a moment matrix for scoring; ``eigh`` reads its lower triangle."""
+def build_evaluators(
+    M: MomentMatrix, bases, policy: ThresholdPolicy | None = None
+) -> list[ChristoffelEvaluator]:
+    """One evaluator per entry of ``bases``, each scoring a leading block of ``M``.
+
+    Each basis must be a leading block of ``M.basis`` (the bases of one
+    kind at lower degrees are).  This is the one place a policy picks a
+    factorization: ``tikhonov`` factors ``M`` once by :func:`ridge_factor`
+    and returns a :class:`RidgeEvaluator` view of that factor per basis;
+    ``rel`` runs ``eigh`` on each leading block, which reads its lower
+    triangle, and keeps the eigenpairs above the cutoff.
+    """
     if policy is None:
         policy = ThresholdPolicy()
     A = M.entries
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise NumericalError("moment matrix is not symmetric within tolerance")
-
     if policy.mode == "tikhonov":
-        A = A + policy.value * np.eye(A.shape[0])
-        threshold = 0.0
-    eigvals, eigvecs = np.linalg.eigh(A)
-    if policy.mode == "rel":
-        lam_max = max(float(eigvals[-1]), 0.0)
-        threshold = max(1e-12, policy.value * lam_max)
-    keep = eigvals > threshold
-    if not np.any(keep):
-        raise NumericalError(
-            "all eigenvalues fall below the threshold; the measure is "
-            "degenerate at this degree"
-        )
-    eigvals = eigvals[keep][::-1].copy()
-    eigvecs = eigvecs[:, keep][:, ::-1].copy()
-    return ChristoffelEvaluator(
-        basis=M.basis,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-        threshold=threshold,
-        mass=M.mass,
-    )
+        factor = ridge_factor(A, policy.value)
+        return [RidgeEvaluator(basis, factor, M.mass) for basis in bases]
+    evaluators = []
+    for basis in bases:
+        eigvals, eigvecs = np.linalg.eigh(A[: basis.size, : basis.size])
+        threshold = max(1e-12, policy.value * max(float(eigvals[-1]), 0.0))
+        keep = eigvals > threshold
+        if not np.any(keep):
+            raise NumericalError(
+                "all eigenvalues fall below the threshold; the measure is "
+                "degenerate at this degree"
+            )
+        eigvals = eigvals[keep][::-1].copy()
+        eigvecs = eigvecs[:, keep][:, ::-1].copy()
+        evaluators.append(ChristoffelEvaluator(basis, eigvals, eigvecs, threshold, M.mass))
+    return evaluators
 
 
-def cf_from_inverse(q: np.ndarray) -> np.ndarray:
-    """Christoffel function values 1/q; IEEE division maps ``inf`` to 0.0.
-
-    q is never 0 (v(x) has a constant entry) or nan (see :func:`inverse_scores`).
-    """
-    return 1.0 / q
+def build_evaluator(
+    M: MomentMatrix, policy: ThresholdPolicy | None = None
+) -> ChristoffelEvaluator:
+    """Factorize a moment matrix for scoring: the one-basis :func:`build_evaluators`."""
+    return build_evaluators(M, [M.basis], policy)[0]
 
 
 def inverse_scores(evaluators, points) -> np.ndarray:
@@ -252,7 +255,8 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     column.  So do points so far out that their basis values or scores
     overflow: a q that is not finite is reported as ``inf``, without
     floating-point warnings, and every other row is computed exactly as it
-    would be without them.
+    would be without them.  No q is 0 (v(x) has a constant entry) or nan,
+    so 1 / q is the Christoffel function, 0.0 where q is ``inf``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -318,7 +322,7 @@ def eval_cf_inverse_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
 
 def eval_cf_batch(ev: ChristoffelEvaluator, points) -> np.ndarray:
     """Christoffel function values for each row of ``points`` (0 off range)."""
-    return cf_from_inverse(eval_cf_inverse_batch(ev, points))
+    return 1.0 / eval_cf_inverse_batch(ev, points)
 
 
 def as_row(x, length: int) -> np.ndarray:

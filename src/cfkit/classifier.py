@@ -25,20 +25,17 @@ import numpy as np
 
 from .christoffel import (
     ChristoffelEvaluator,
-    RidgeEvaluator,
     ThresholdPolicy,
     as_row,
     build_evaluator,
-    cf_from_inverse,
+    build_evaluators,
     eval_cf_batch,
     eval_cf_inverse_batch,
     inverse_scores,
-    ridge_factor,
 )
 from .datasets import AffineTransform, scale_to_unit_box
 from .moments import (
     LabeledDataset,
-    MomentMatrix,
     class_split,
     empirical_moment_matrix,
     is_integer,
@@ -54,7 +51,7 @@ from .multiindex import (
 REJECT_LABEL = 0
 # The policy of fit, fit_degrees and the CLI's train and sweep: an absolute
 # ridge, so one Cholesky factor per class scores every degree.  Joint
-# evaluators and ThresholdPolicy() keep the exact pseudo-inverse, rel:1e-10.
+# evaluators default, as ThresholdPolicy() does, to the exact rule rel:1e-10.
 MODEL_POLICY = ThresholdPolicy("tikhonov", 1e-10)
 
 
@@ -179,13 +176,13 @@ def fit_degrees(
     moment matrix at ``max(degrees)``, assembled one row block at a time
     (see :func:`empirical_moment_matrix`), so memory does not grow with
     the class size.  The basis is graded, so the degree-t moment matrix is
-    its leading ``s_t x s_t`` block.  Under a ``tikhonov`` policy, the
-    default, each class gets one :func:`ridge_factor` of that matrix, and
-    each entry's evaluator reads the factor's leading block; under ``rel``
-    each entry gets its own eigen-form evaluator of the block.  Each entry
-    computes its own 5% training score floors on the first read of its
-    ``train_score_floor``: one scoring pass over each
-    class's scaled points in that entry's basis.  The entry then drops its
+    its leading ``s_t x s_t`` block.  One :func:`build_evaluators` call per
+    class factors that matrix for every entry: under a ``tikhonov`` policy,
+    the default, by one Cholesky factor whose leading block each entry's
+    evaluator reads; under ``rel`` by a thresholded ``eigh`` of each block.
+    Each entry computes its own 5% training score floors on the first read
+    of its ``train_score_floor``: one scoring pass over each class's
+    scaled points in that entry's basis.  The entry then drops its
     reference to the points, so they are freed once every entry has read
     its floors or been dropped.  Duplicate and unsorted entries are kept
     in order.  A one-degree call is the same arithmetic as a fit at that
@@ -224,15 +221,9 @@ def fit_degrees(
                 f"class {label}: all points identical, moment matrix has rank 1",
                 stacklevel=2,
             )
-        gram = empirical_moment_matrix(measure, top).entries
-        factor = ridge_factor(gram, policy.value) if policy.mode == "tikhonov" else None
-        for k, t in enumerate(degrees):
-            if factor is None:
-                s = bases[t].size
-                block = MomentMatrix(bases[t], gram[:s, :s], measure.mass)
-                evaluators[k].append(build_evaluator(block, policy))
-            else:
-                evaluators[k].append(RidgeEvaluator(bases[t], factor, measure.mass))
+        gram = empirical_moment_matrix(measure, top)
+        for k, ev in enumerate(build_evaluators(gram, [bases[t] for t in degrees], policy)):
+            evaluators[k].append(ev)
         points.append(measure.points)
     return [
         ClassifierModel(
@@ -289,7 +280,7 @@ def _inverse_scores(models: list[ClassifierModel], points) -> list[np.ndarray]:
 
 def scores_batch(model: ClassifierModel, points) -> np.ndarray:
     """Per-class Christoffel function values, shape (n_points, m)."""
-    return cf_from_inverse(_inverse_scores([model], points)[0])
+    return 1.0 / _inverse_scores([model], points)[0]
 
 
 def scores(model: ClassifierModel, x) -> np.ndarray:
@@ -320,7 +311,7 @@ def classify_batches(models: list[ClassifierModel], points) -> list[np.ndarray]:
     :func:`fit_degrees` call do, are scored in one pass over the points.
     """
     qs = _inverse_scores(models, points)
-    return [_labels(model, cf_from_inverse(q)) for model, q in zip(models, qs)]
+    return [_labels(model, 1.0 / q) for model, q in zip(models, qs)]
 
 
 def classify_batch(model: ClassifierModel, points) -> np.ndarray:
@@ -349,7 +340,7 @@ def joint_cf(model: ClassifierModel, x, y: float) -> float:
         weights = make_theta(model.m).eval_all(y) ** 2
         used = weights != 0.0
         total = weights[used] @ q[used]
-    return float(cf_from_inverse(total))
+    return float(1.0 / total)
 
 
 def variety_cf(
@@ -376,7 +367,7 @@ def tensor_cf(
 
 def eval_joint(ev: ChristoffelEvaluator, x, y: float) -> float:
     """Christoffel function of a joint evaluator at the pair (x, y)."""
-    return float(cf_from_inverse(eval_joint_inverse(ev, x, y)))
+    return 1.0 / eval_joint_inverse(ev, x, y)
 
 
 def eval_joint_inverse(ev: ChristoffelEvaluator, x, y: float) -> float:

@@ -142,6 +142,8 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
     rows = len(arrays["factor_1" if factored else "eigenvectors_1"])
     if not (max(n, degree) < rows and min(n, degree) < rows.bit_length()):
         raise ValueError("n or degree is too large for the stored rows")
+    if factored and policy.mode != "tikhonov":
+        raise ValueError("a ridge factor needs a tikhonov policy")
     size = basis_dimension(n, degree)
     if factored:
         forms = [arrays[f"factor_{k}"] for k in range(1, m + 1)]
@@ -169,6 +171,8 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         if not (_number(threshold) and threshold >= 0 and _number(mass) and mass > 0):
             raise ValueError("class threshold must be a number >= 0, mass one > 0")
         if factored:
+            if threshold != 0.0:
+                raise ValueError("a ridge class has no threshold")
             evaluators.append(RidgeEvaluator(basis, form, mass))
         else:
             evaluators.append(ChristoffelEvaluator(basis, *form, threshold, mass))

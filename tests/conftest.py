@@ -89,6 +89,8 @@ MALFORMED_HEADERS = {
     "factor-missing": lambda h: {
         **h, "arrays": [a for a in h["arrays"] if a["name"] != "factor_2"]
     },
+    "factor-under-rel": lambda h: {**h, "policy": {"mode": "rel", "value": 1e-10}},
+    "factor-threshold": lambda h: {**h, "classes": _each_class(h, threshold=7.0)},
 }
 
 

@@ -21,7 +21,7 @@ from cfkit import (
     uniform_measure,
     variational_eval,
 )
-from cfkit.christoffel import OFF_RANGE_TOL, inverse_scores
+from cfkit.christoffel import OFF_RANGE_TOL, build_evaluators, inverse_scores
 from cfkit.moments import EVAL_CHUNK
 from cfkit.multiindex import MonomialBasis
 from conftest import chunk_crossing_queries, random_measure
@@ -108,6 +108,48 @@ class TestBuildEvaluator:
         assert ev.rank == 3
         # strictly positive score even far from the single support point
         assert eval_cf(ev, [5.0]) > 0
+
+    def test_evaluators_of_leading_blocks(self, rng):
+        # rel: each block's eigen form, bit for bit as a build_evaluator of the
+        # block alone; tikhonov: views of one factor of the whole matrix.
+        M = empirical_moment_matrix(random_measure(rng, 2, 60), enumerate_basis(2, 4))
+        bases = [enumerate_basis(2, t) for t in (1, 4, 2)]
+        for ev, basis in zip(build_evaluators(M, bases), bases):
+            s = basis.size
+            alone = build_evaluator(MomentMatrix(basis, M.entries[:s, :s], M.mass))
+            assert ev.basis is basis and ev.threshold == alone.threshold
+            np.testing.assert_array_equal(ev.scoring, alone.scoring)
+        ridge = build_evaluators(M, bases, ThresholdPolicy("tikhonov", 1e-8))
+        assert len({id(ev.factor) for ev in ridge}) == 1
+        assert [ev.scoring.shape for ev in ridge] == [(3, 3), (15, 15), (6, 6)]
+        assert ridge[0].factor.shape == (15, 15) and not ridge[0].factor.flags.writeable
+
+    def test_tikhonov_matches_the_eigenpairs_of_the_shifted_matrix(self, rng):
+        # The eigh(M + eps I) path that tikhonov took before the ridge
+        # factor, kept here as the reference.
+        M = empirical_moment_matrix(random_measure(rng, 2, 400), enumerate_basis(2, 3))
+        eps = 1e-6
+        lam, E = np.linalg.eigh(M.entries + eps * np.eye(M.size))
+        queries = rng.uniform(-1.5, 1.5, size=(200, 2))
+        expected = ((eval_monomials_batch(M.basis, queries) @ E) ** 2 / lam).sum(axis=1)
+        got = eval_cf_inverse_batch(build_evaluator(M, ThresholdPolicy("tikhonov", eps)), queries)
+        cond = lam[-1] / lam[0]
+        assert cond < 1e3  # well conditioned, so rounding alone separates the two
+        np.testing.assert_allclose(got, expected, rtol=10 * cond * np.finfo(float).eps)
+
+    def test_tikhonov_runs_no_eigen_routine(self, rng, no_eigen_routines):
+        M = empirical_moment_matrix(random_measure(rng, 2, 400), enumerate_basis(2, 3))
+        ev = build_evaluator(M, ThresholdPolicy("tikhonov", 1e-6))
+        assert ev.eigenvalues is None and ev.rank == M.size
+        assert np.all(eval_cf_inverse_batch(ev, rng.uniform(-1.5, 1.5, size=(20, 2))) > 0)
+
+    def test_tikhonov_too_small_for_a_singular_matrix_errors(self):
+        # M = v v^T with v = (1, 0.5, 0.25) is exactly rank 1, and 1e-20 is
+        # lost against its entries.  The eigh path kept the one positive
+        # eigenvalue and dropped the others; Cholesky refuses the matrix.
+        M = empirical_moment_matrix(uniform_measure([0.5]), enumerate_basis(1, 2))
+        with pytest.raises(NumericalError, match="not positive definite"):
+            build_evaluator(M, ThresholdPolicy("tikhonov", 1e-20))
 
 
 class TestEvalCf:

@@ -43,7 +43,8 @@ from cfkit import (
     tensor_cf,
     variety_cf,
 )
-from cfkit.christoffel import cf_from_inverse, inverse_scores
+from cfkit.christoffel import inverse_scores
+from cfkit.classifier import MODEL_POLICY
 from cfkit.moments import BLOCK_FLOATS, EVAL_CHUNK
 from cfkit.multiindex import basis_dimension
 from conftest import (
@@ -281,7 +282,7 @@ class TestFitDegrees:
         expected = np.empty((len(degrees), data.m))
         for j in range(data.m):
             fitted = [model.evaluators[j] for model in models]
-            own = cf_from_inverse(inverse_scores(fitted, scaled[data.labels == j + 1]))
+            own = 1.0 / inverse_scores(fitted, scaled[data.labels == j + 1])
             expected[:, j] = np.percentile(own, 5.0, axis=0)
         for k in (2, 0, 4, 3, 1):
             floor = models[k].train_score_floor
@@ -808,3 +809,38 @@ class TestHighDegree:
             own = scores_batch(model, train.points)[rows, train.labels - 1]
             assert (own == 0).mean() == 0.0, t
             assert (classify_batch(model, test.points) == test.labels).mean() == 1.0, t
+
+
+class TestRidgeScale:
+    """Under the ridge default a class's scale is its effective dimension
+    d = s - eps ||R||_F^2, and structural rank loss shows as a large q."""
+
+    def test_mean_own_score_is_the_trace_identity(self):
+        # tr(G (G + eps I)^-1) = s - eps tr((G + eps I)^-1), and R R^T is that inverse.
+        specs = [
+            ShapeSpec(kind="disk", label=1, center=(-2.0, 0.0), radius=1.0),
+            ShapeSpec(kind="disk", label=2, center=(2.0, 0.0), radius=1.0),
+        ]
+        train = gen_shapes(specs, 500, seed=21)
+        models = fit_degrees(train, [2, 4, 6, 8, 12])
+        scaled = models[0].transform.forward(train.points)
+        for model in models:
+            for j, ev in enumerate(model.evaluators):
+                own = eval_cf_inverse_batch(ev, scaled[train.labels == j + 1])
+                d = ev.basis.size - MODEL_POLICY.value * np.sum(ev.scoring**2)
+                assert own.mean() == pytest.approx(d, rel=1e-6), (model.degree, j)
+
+    def test_circle_scores_small_on_it_and_large_inside(self, rank_deficient):
+        train, _ = rank_deficient
+        rng = np.random.default_rng(3)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=(2, 2000))
+        radius = 0.98 * np.sqrt(rng.uniform(size=2000))
+        on = np.stack([np.cos(angle[0]) - 3.0, np.sin(angle[0])], axis=1)
+        inside = np.stack([radius * np.cos(angle[1]) - 3.0, radius * np.sin(angle[1])], axis=1)
+        for model in fit_degrees(train, [5, 8, 12]):
+            assert model.policy == MODEL_POLICY
+            circle = model.evaluators[0]
+            s = circle.basis.size
+            for points, low, high in ((on, 0.0, 1.0), (inside, 1000.0, np.inf)):
+                q = eval_cf_inverse_batch(circle, model.transform.forward(points)) / s
+                assert low < q.min() and q.max() < high, model.degree

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cfkit import (
+    ChristoffelEvaluator,
     ClassifierModel,
     DataError,
     LabeledDataset,
     ThresholdPolicy,
-    build_evaluator,
     class_split,
     empirical_moment_matrix,
     enumerate_basis,
@@ -80,15 +80,16 @@ class TestRoundTrip:
 
     def test_eigenpair_tikhonov_file_loads(self, rng, tmp_path):
         # Before the ridge factor, a tikhonov model was stored as the
-        # eigenpairs of M + eps I, as build_evaluator still computes them.
+        # eigenpairs of M + eps I, in descending order, with threshold 0.0.
         data = random_joint_dataset(rng, 2, 3, [30, 25, 40])
         ridge = fit(data, degree=3)
         basis = enumerate_basis(2, 3)
         scaled = LabeledDataset(ridge.transform.forward(data.points), data.labels)
-        evaluators = [
-            build_evaluator(empirical_moment_matrix(measure, basis), ridge.policy)
-            for measure in class_split(scaled)
-        ]
+        evaluators = []
+        for measure in class_split(scaled):
+            M = empirical_moment_matrix(measure, basis)
+            lam, E = np.linalg.eigh(M.entries + ridge.policy.value * np.eye(M.size))
+            evaluators.append(ChristoffelEvaluator(basis, lam[::-1], E[:, ::-1], 0.0, M.mass))
         eigen = ClassifierModel(3, 3, evaluators, ridge.transform, ridge.policy,
                                 train_score_floor=ridge.train_score_floor)
         path = tmp_path / "model.cfm"
