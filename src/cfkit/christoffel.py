@@ -40,6 +40,19 @@ basis is the leading block of every larger one, so each evaluator reads
 the leading columns of its size.  V and Y are column-major, the layout
 in which BLAS writes Y fastest, and the row sums go to contiguous memory
 before they are stored in a score column.
+
+The eigen-form product V W is dense.  A ridge product is built in column
+panels, Y[:, a:b] = V[:, :b] R[:b, a:b], each at most ``PANEL_WIDTH``
+columns wide and each ending at a shared evaluator's size, so it skips
+the rows of R below the panel, which are zero.  This is exact because
+R is exactly upper triangular: :func:`ridge_factor` writes exact zeros
+below the diagonal, and ``persist.load_model`` refuses a factor with any
+entry there that is not zero.  Each entry of Y is then the dot product
+of the full product less terms that are exact zeros, so it keeps its
+bits: with OpenBLAS 0.3.31, under 1 and 2 threads, panels of 2 to 48
+columns gave the scores of the full product at every degree from 1 to 20
+in the plane and 1 to 8 in space.  A one-column product is the exception
+(see ``_panels``).
 """
 
 from __future__ import annotations
@@ -59,6 +72,12 @@ from .multiindex import MonomialBasis, eval_monomials_batch
 OFF_RANGE_TOL = 1e-8
 # Value p^T M p / mass at or below which variational_eval reports 0.
 VARIATIONAL_ZERO_TOL = 1e-10
+# Columns per panel of a ridge product at most (see inverse_scores).  On
+# one OpenBLAS 0.3.31 thread (SkylakeX kernels) a 1440-row block times a
+# 91-entry factor took 0.38 ms in 8-column panels, 0.39 ms in 24-column
+# ones and 0.47 ms as one product; a 2912-row block times a 45-entry one
+# took 0.19, 0.25 and 0.27 ms.  4, 12, 16, 32 and 48 were no faster than 8.
+PANEL_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -245,18 +264,26 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     Returns shape (rows, len(evaluators)).  Each evaluator's basis must be
     a leading block of the largest one, as the bases of one kind at several
     degrees are; any other basis raises ValueError.  The largest basis is
-    evaluated once per row chunk.  Each eigen-form evaluator, and each
-    ridge factor that evaluators share, multiplies the chunk's leading
-    columns once, at the widest basis size its evaluators read, into the
-    column-major ``spare`` of :func:`moments.basis_blocks`; each evaluator
-    then sums the squares of its own leading columns.  The products run
-    over the padded rows of the chunk.  The result is C-ordered.  Points
-    off an eigen-form evaluator's retained eigenspace get ``inf`` in its
-    column.  So do points so far out that their basis values or scores
-    overflow: a q that is not finite is reported as ``inf``, without
-    floating-point warnings, and every other row is computed exactly as it
-    would be without them.  No q is 0 (v(x) has a constant entry) or nan,
-    so 1 / q is the Christoffel function, 0.0 where q is ``inf``.
+    evaluated once per row chunk.  Each eigen-form evaluator multiplies
+    the chunk's leading columns by its dense scoring matrix once, into the
+    column-major ``spare`` of :func:`moments.basis_blocks`.  Each ridge
+    factor that evaluators share fills ``spare`` up to the widest basis
+    size they read in column panels, ``Y[:, a:b] = V[:, :b] R[:b, a:b]``,
+    of at most ``PANEL_WIDTH`` columns; every evaluator's size ends a
+    panel.  The panels skip the exact zeros of R below its diagonal, so
+    they give the bits of the full product ``V R`` at 54% of its flops
+    for 91 basis entries and 59% for 45.  Each evaluator then sums
+    the squares of its own leading columns.  The products run over the
+    padded rows of the chunk.  The result is C-ordered.  Points off an
+    eigen-form evaluator's retained eigenspace get ``inf`` in its column.
+    So do points so far out that their basis values or scores overflow: a
+    q that is not finite is reported as ``inf``, without floating-point
+    warnings, and every other row is computed exactly as it would be
+    without them.  Each evaluator's columns read only its own basis
+    values, so every column is the one the evaluator gives alone, also in
+    a row whose values overflow only in a larger basis.  No q is 0 (v(x)
+    has a constant entry) or nan, so 1 / q is the Christoffel function,
+    0.0 where q is ``inf``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -269,22 +296,25 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     shared = {}
     for k, ev in enumerate(evaluators):
         shared.setdefault(id(ev) if ev.factor is None else id(ev.factor), []).append(k)
-    products = [
-        (max((evaluators[k] for k in ks), key=lambda ev: ev.basis.size).scoring, ks)
-        for ks in shared.values()
-    ]
+    products = []  # (matrix, column panels, evaluator indices)
+    for ks in shared.values():
+        ev, sizes = evaluators[ks[0]], sorted({evaluators[k].basis.size for k in ks})
+        if ev.factor is None:
+            products.append((ev.scoring, [(0, sizes[-1])], ks))
+        else:
+            products.append((ev.factor, _panels(sizes), ks))
     q = np.empty((pts.shape[0], len(evaluators)))
     with np.errstate(over="ignore", invalid="ignore"):
         for block, values, spare in basis_blocks(basis, pts):
             rows = block.stop - block.start
             # ||v||^2 per basis size, for the evaluators that need it.
             norms = {}
-            for scoring, ks in products:
-                width = scoring.shape[0]
-                Y = np.matmul(values[:, :width], scoring, out=spare[:, :width])[:rows]
+            for matrix, panels, ks in products:
+                for a, b in panels:
+                    np.matmul(values[:, :b], matrix[:b, a:b], out=spare[:, a:b])
                 for k in ks:
                     s, rank = evaluators[k].basis.size, evaluators[k].rank
-                    kept, off = Y[:, :rank], Y[:, rank:s]
+                    kept, off = spare[:rows, :rank], spare[:rows, rank:s]
                     # Row sums go to contiguous memory, then to q's strided
                     # column: twice as fast as summing into the column.
                     sums = np.einsum("ij,ij->i", kept, kept)
@@ -299,6 +329,25 @@ def inverse_scores(evaluators, points) -> np.ndarray:
             chunk = q[block]
             chunk[~np.isfinite(chunk)] = np.inf
     return q
+
+
+def _panels(sizes) -> list[tuple[int, int]]:
+    """Column panels ``(a, b)`` of a ridge product up to ``sizes[-1]``, right to left.
+
+    ``sizes`` ascend.  Panels are ``PANEL_WIDTH`` columns wide, and each
+    size ends one, so the columns of an evaluator of that size read only
+    its own basis values.  A panel is at least two columns wide: numpy
+    computes a one-column product as a matrix-vector product, whose bits
+    differ.  So a one-column panel also computes the column before it,
+    which the next panel, its own, then writes again.
+    """
+    panels, a = [], 0
+    for s in sizes:
+        while a < s:
+            b = min(a + PANEL_WIDTH, s)
+            panels.append((max(0, min(a, b - 2)), b))
+            a = b
+    return panels[::-1]
 
 
 def _leads(head: MonomialBasis, basis: MonomialBasis) -> bool:

@@ -6,11 +6,15 @@ their stored order through ``basis_blocks``, as query scoring does, one
 block of basis values at a time, so its working memory does not grow
 with the number of points.  Each block adds its ``sqrt(w)``-scaled
 values times their own transpose (BLAS ``syrk``): the matrix is exactly
-symmetric.  Its bits depend on the block shapes.  With OpenBLAS 0.3.31
-they were the same under 1 and 2 BLAS threads up to 91 basis entries
-(two disks to degree 12, a 3-D class of 3000 points to degree 6), and
-differed from 165 entries on (that class at degrees 8 and 10).  From 165
-entries on, ``numpy.linalg.eigh`` of one fixed matrix differs too.
+symmetric.  Its bits depend on the block shapes, and at some sizes on the
+BLAS thread count; no size rule is known, so only measured sizes are
+stated.  With OpenBLAS 0.3.31 on 2 vCPUs, three-shape classes of 3000
+points in the plane gave the same matrix under 1 and 2 threads at 45 to
+91 basis entries (degrees 8 to 12), 120 and 136 (degrees 14 and 15), and
+a different one at 105 (degree 13) and at 153 to 231 (degrees 16 to 20).
+A 3-D class of 3000 points gave the same matrix up to 120 entries
+(degree 7) and a different one at 165 to 286 (degrees 8 to 10).  At 165
+entries and more, ``numpy.linalg.eigh`` of one fixed matrix differs too.
 """
 
 from __future__ import annotations

@@ -16,15 +16,17 @@ from cfkit import (
     eval_cf_inverse,
     eval_cf_inverse_batch,
     eval_monomials_batch,
+    fit,
     fit_degrees,
+    gen_shapes,
     orthonormal_polynomials,
     uniform_measure,
     variational_eval,
 )
-from cfkit.christoffel import OFF_RANGE_TOL, build_evaluators, inverse_scores
+from cfkit.christoffel import OFF_RANGE_TOL, PANEL_WIDTH, build_evaluators, inverse_scores
 from cfkit.moments import EVAL_CHUNK
 from cfkit.multiindex import MonomialBasis
-from conftest import chunk_crossing_queries, random_measure
+from conftest import THREE_SHAPES, chunk_crossing_queries, random_measure
 
 
 def three_point_evaluator():
@@ -297,8 +299,9 @@ class TestNestedScoring:
 
     def test_shared_factor_matches_separate_scoring(self, rank_deficient):
         # Under the ridge default each class's degrees read one factor and
-        # share one product per block, at the widest size; each column is
-        # bit for bit its evaluator's alone, a product of its own size.
+        # share one panelled product per block, up to the widest size; each
+        # column is bit for bit its evaluator's alone, a product of its own
+        # size.
         train, _ = rank_deficient
         models = fit_degrees(train, [2, 8, 4])
         queries = models[0].transform.forward(chunk_crossing_queries())
@@ -326,6 +329,74 @@ class TestNestedScoring:
         ]
         with pytest.raises(ValueError, match="leading blocks"):
             inverse_scores(evaluators, np.zeros((3, 2)))
+
+
+def full_product_scores(ev, points):
+    """Reference kernel: the row sums of the squares of one product V R over
+    all rows, V padded with zero rows to a multiple of 16 as ``basis_blocks``
+    pads each block; a sum that is not finite reads inf."""
+    rows = points.shape[0]
+    values = np.zeros((-(-rows // 16) * 16, ev.basis.size), order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[:rows] = eval_monomials_batch(ev.basis, points)
+        Y = np.matmul(values, ev.scoring, out=np.empty(values.shape[::-1]).T)[:rows]
+        q = np.einsum("ij,ij->i", Y, Y)
+    q[~np.isfinite(q)] = np.inf
+    return q
+
+
+# Rows far past the unit box: the first overflows the basis values from
+# degree 3 on, the second the scores from degree 8 on, and the other two
+# the basis values at every degree.
+OVERFLOWING = [[1e110, 0.5], [1e30, 0.5], [1e200, 0.5], [0.5, -1e200]]
+
+
+class TestRidgePanels:
+    """A ridge factor multiplies in panels of ``PANEL_WIDTH`` columns, each
+    reading only the basis columns up to its last one, and gives the bits of
+    the full product with the zeros below the diagonal."""
+
+    @pytest.fixture(scope="class")
+    def train(self):
+        return gen_shapes(THREE_SHAPES, 1500, seed=3)
+
+    @pytest.mark.parametrize(
+        "degree, size",
+        [(2, 6), (14, 120), (12, 91), (13, 105)],
+        ids=["narrower-than-a-panel", "whole-panels", "short-last-panel", "one-column-last-panel"],
+    )
+    def test_matches_the_full_product(self, train, degree, size):
+        model = fit(train, degree=degree)
+        queries = np.vstack([model.transform.forward(chunk_crossing_queries()), OVERFLOWING])
+        assert model.evaluators[0].basis.size == size
+        got = inverse_scores(model.evaluators, queries)
+        for k, ev in enumerate(model.evaluators):
+            np.testing.assert_array_equal(got[:, k], full_product_scores(ev, queries))
+        assert np.isfinite(got[:-4]).all() and np.isinf(got[-2:]).all()
+
+    def test_the_cases_span_the_panel_layouts(self):
+        # The sizes above: less than one panel, a whole number of them, and
+        # several with a shorter last one, of more than one column and of one.
+        assert 6 < PANEL_WIDTH
+        assert 120 % PANEL_WIDTH == 0 and 120 > PANEL_WIDTH
+        assert 91 % PANEL_WIDTH > 1 and 91 > 2 * PANEL_WIDTH
+        assert 105 % PANEL_WIDTH == 1
+
+    def test_shared_factor_matches_the_full_products(self, train):
+        models = fit_degrees(train, [1, 2, 8, 12])
+        queries = np.vstack([models[0].transform.forward(chunk_crossing_queries()), OVERFLOWING])
+        evaluators = [ev for model in models for ev in model.evaluators]
+        assert len({id(ev.factor) for ev in evaluators}) == train.m
+        got = inverse_scores(evaluators, queries)
+        for k, ev in enumerate(evaluators):
+            np.testing.assert_array_equal(got[:, k], full_product_scores(ev, queries))
+        assert np.isfinite(got[:-4]).all()
+        # Each size ends a panel, so a row that overflows only the larger
+        # bases keeps its finite scores at the smaller degrees.  Columns:
+        # the three classes at degree 1, then at 2, 8 and 12.
+        finite_degrees = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        expected = np.repeat(np.array(finite_degrees, dtype=bool), train.m, axis=1)
+        np.testing.assert_array_equal(np.isfinite(got[-4:]), expected)
 
 
 class TestVariationalEval:

@@ -1032,25 +1032,29 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path, spec_file):
 def test_scores_do_not_depend_on_blas_threads(tmp_path, spec_file):
     """``predict`` and ``levelset`` write the same bytes with one BLAS thread
     and with two.  With 2500 points per class the queries fill a 2912-row
-    block (45 basis entries at degree 8), large enough for OpenBLAS to split
-    the scoring product."""
-    data, model = tmp_path / "train.csv", tmp_path / "model.cfm"
+    block at degree 8 (45 basis entries) and 1440-row blocks at degree 12
+    (91 entries, several ridge panels), large enough for OpenBLAS to split
+    the scoring products."""
+    data = tmp_path / "train.csv"
     assert run("synth", spec_file, "--n", 2500, "--seed", 1, "--out", data) == 0
-    assert run("train", data, "--degree", 8, "--out", model) == 0
-    outputs = []
-    for threads in ("1", "2"):
-        predicted, grid = tmp_path / f"predict-{threads}.csv", tmp_path / f"grid-{threads}.csv"
-        run_with_blas_threads(threads, "predict", model, data, "--out", predicted)
-        run_with_blas_threads(threads, "levelset", model, "--bounds=-3.2:3.2,-1.2:1.2",
-                              "--grid-res", 70, "--out", grid)
-        outputs.append((predicted.read_bytes(), grid.read_bytes()))
-    assert outputs[0] == outputs[1]
-    # The grid's last 4 of 4900 rows, past the last multiple of 8 in its
-    # 1988-row second block, are the ones an unpadded threaded product
-    # computes apart.  They score above 0 in each class, so they are
-    # compared as numbers and not only as zeros.
-    tail = [line.split(",") for line in outputs[0][1].decode().splitlines()[-4:]]
-    assert all(float(cell) > 0 for row in tail for cell in row[2:4])
+    for degree in (8, 12):
+        model = tmp_path / f"model-{degree}.cfm"
+        assert run("train", data, "--degree", degree, "--out", model) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            predicted = tmp_path / f"predict-{degree}-{threads}.csv"
+            grid = tmp_path / f"grid-{degree}-{threads}.csv"
+            run_with_blas_threads(threads, "predict", model, data, "--out", predicted)
+            run_with_blas_threads(threads, "levelset", model, "--bounds=-3.2:3.2,-1.2:1.2",
+                                  "--grid-res", 70, "--out", grid)
+            outputs.append((predicted.read_bytes(), grid.read_bytes()))
+        assert outputs[0] == outputs[1], degree
+        # The grid's last 4 of 4900 rows, past the last multiple of 8 in its
+        # last block (1988 rows at degree 8, 580 at degree 12), are the ones
+        # an unpadded threaded product computes apart.  They score above 0
+        # in each class, so they are compared as numbers and not only as zeros.
+        tail = [line.split(",") for line in outputs[0][1].decode().splitlines()[-4:]]
+        assert all(float(cell) > 0 for row in tail for cell in row[2:4]), degree
 
 
 # Every flag value the parser rejects: (subcommand and its positional
