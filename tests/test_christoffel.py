@@ -23,8 +23,14 @@ from cfkit import (
     uniform_measure,
     variational_eval,
 )
-from cfkit.christoffel import OFF_RANGE_TOL, PANEL_WIDTH, build_evaluators, inverse_scores
-from cfkit.moments import EVAL_CHUNK
+from cfkit.christoffel import (
+    OFF_RANGE_TOL,
+    PANEL_MIN_VALUES,
+    PANEL_WIDTH,
+    build_evaluators,
+    inverse_scores,
+)
+from cfkit.moments import EVAL_CHUNK, block_rows
 from cfkit.multiindex import MonomialBasis
 from conftest import THREE_SHAPES, chunk_crossing_queries, random_measure
 
@@ -352,9 +358,10 @@ OVERFLOWING = [[1e110, 0.5], [1e30, 0.5], [1e200, 0.5], [0.5, -1e200]]
 
 
 class TestRidgePanels:
-    """A ridge factor multiplies in panels of ``PANEL_WIDTH`` columns, each
-    reading only the basis columns up to its last one, and gives the bits of
-    the full product with the zeros below the diagonal."""
+    """A ridge factor multiplies in column panels, each reading only the basis
+    columns up to its last one, and gives the bits of the full product with
+    the zeros below the diagonal.  Each case also scores its last 40 rows
+    alone, a block too small to split into ``PANEL_WIDTH`` panels."""
 
     @pytest.fixture(scope="class")
     def train(self):
@@ -369,10 +376,11 @@ class TestRidgePanels:
         model = fit(train, degree=degree)
         queries = np.vstack([model.transform.forward(chunk_crossing_queries()), OVERFLOWING])
         assert model.evaluators[0].basis.size == size
-        got = inverse_scores(model.evaluators, queries)
-        for k, ev in enumerate(model.evaluators):
-            np.testing.assert_array_equal(got[:, k], full_product_scores(ev, queries))
-        assert np.isfinite(got[:-4]).all() and np.isinf(got[-2:]).all()
+        for points in (queries, queries[-40:]):
+            got = inverse_scores(model.evaluators, points)
+            for k, ev in enumerate(model.evaluators):
+                np.testing.assert_array_equal(got[:, k], full_product_scores(ev, points))
+            assert np.isfinite(got[:-4]).all() and np.isinf(got[-2:]).all()
 
     def test_the_cases_span_the_panel_layouts(self):
         # The sizes above: less than one panel, a whole number of them, and
@@ -381,22 +389,25 @@ class TestRidgePanels:
         assert 120 % PANEL_WIDTH == 0 and 120 > PANEL_WIDTH
         assert 91 % PANEL_WIDTH > 1 and 91 > 2 * PANEL_WIDTH
         assert 105 % PANEL_WIDTH == 1
+        # Full 91-entry blocks are split into those panels; 40 rows are not.
+        assert block_rows(91) * 91 >= PANEL_MIN_VALUES > 48 * 120
 
     def test_shared_factor_matches_the_full_products(self, train):
         models = fit_degrees(train, [1, 2, 8, 12])
         queries = np.vstack([models[0].transform.forward(chunk_crossing_queries()), OVERFLOWING])
         evaluators = [ev for model in models for ev in model.evaluators]
         assert len({id(ev.factor) for ev in evaluators}) == train.m
-        got = inverse_scores(evaluators, queries)
-        for k, ev in enumerate(evaluators):
-            np.testing.assert_array_equal(got[:, k], full_product_scores(ev, queries))
-        assert np.isfinite(got[:-4]).all()
         # Each size ends a panel, so a row that overflows only the larger
         # bases keeps its finite scores at the smaller degrees.  Columns:
         # the three classes at degree 1, then at 2, 8 and 12.
         finite_degrees = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         expected = np.repeat(np.array(finite_degrees, dtype=bool), train.m, axis=1)
-        np.testing.assert_array_equal(np.isfinite(got[-4:]), expected)
+        for points in (queries, queries[-40:]):
+            got = inverse_scores(evaluators, points)
+            for k, ev in enumerate(evaluators):
+                np.testing.assert_array_equal(got[:, k], full_product_scores(ev, points))
+            assert np.isfinite(got[:-4]).all()
+            np.testing.assert_array_equal(np.isfinite(got[-4:]), expected)
 
 
 class TestVariationalEval:
