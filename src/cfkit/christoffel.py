@@ -42,18 +42,14 @@ in which BLAS writes Y fastest, and the row sums go to contiguous memory
 before they are stored in a score column.
 
 The eigen-form product V W is dense.  A ridge product is built in column
-panels, Y[:, a:b] = V[:, :b] R[:b, a:b], each ending at a shared
-evaluator's size, and in a block of at least ``PANEL_MIN_VALUES`` basis
-values each at most ``PANEL_WIDTH`` columns wide.  So it skips the rows
-of R below each panel, which are zero.  This is exact because
-R is exactly upper triangular: :func:`ridge_factor` writes exact zeros
-below the diagonal, and ``persist.load_model`` refuses a factor with any
-entry there that is not zero.  Each entry of Y is then the dot product
-of the full product less terms that are exact zeros, so it keeps its
-bits: with OpenBLAS 0.3.31, under 1 and 2 threads, panels of 2 to 48
-columns gave the scores of the full product at every degree from 1 to 20
-in the plane and 1 to 8 in space.  A one-column product is the exception
-(see ``_panels``).
+panels of at most ``PANEL_WIDTH`` columns, Y[:, a:b] = V[:, :b] R[:b, a:b],
+each shared evaluator's size ending one, so the zeros of R below each
+panel are never multiplied.  This is exact because R is exactly upper
+triangular: :func:`ridge_factor` writes exact zeros below the diagonal,
+and ``persist.load_model`` refuses a factor with any entry there that is
+not zero.  Each entry of Y is then the dot product of the full product
+less terms that are exact zeros, so the scores keep their bits.  A
+one-column product is the exception (see ``_panels``).
 """
 
 from __future__ import annotations
@@ -73,20 +69,12 @@ from .multiindex import MonomialBasis, eval_monomials_batch
 OFF_RANGE_TOL = 1e-8
 # Value p^T M p / mass at or below which variational_eval reports 0.
 VARIATIONAL_ZERO_TOL = 1e-10
-# Columns per panel of a ridge product at most (see inverse_scores).  On
-# one OpenBLAS 0.3.31 thread (SkylakeX kernels) a 1440-row block times a
-# 91-entry factor took 0.38 ms in 8-column panels, 0.39 ms in 24-column
+# Columns per panel of a ridge product at most (see the module docstring).
+# On one OpenBLAS 0.3.31 thread (SkylakeX kernels) a 1440-row block times
+# a 91-entry factor took 0.38 ms in 8-column panels, 0.39 ms in 24-column
 # ones and 0.47 ms as one product; a 2912-row block times a 45-entry one
 # took 0.19, 0.25 and 0.27 ms.  4, 12, 16, 32 and 48 were no faster than 8.
 PANEL_WIDTH = 8
-# Basis values in a block (padded rows x basis size) from which ridge
-# products are split into PANEL_WIDTH panels; a smaller block makes one
-# product per shared size.  Each panel costs a numpy call of a few us, and
-# the flops it skips grow with the rows: on one thread, the panels of a
-# 91-entry factor scored 768 rows 17% faster and 512 rows no faster, those
-# of a 45-entry one 1440 rows 9% faster and 1024 no faster, and those of a
-# 15-entry one (4096 rows at most) were never more than 5% faster.
-PANEL_MIN_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -274,26 +262,19 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     a leading block of the largest one, as the bases of one kind at several
     degrees are; any other basis raises ValueError.  The largest basis is
     evaluated once per row chunk.  Each eigen-form evaluator multiplies
-    the chunk's leading columns by its dense scoring matrix once, into the
-    column-major ``spare`` of :func:`moments.basis_blocks`.  Each ridge
-    factor that evaluators share fills ``spare`` up to the widest basis
-    size they read in column panels, ``Y[:, a:b] = V[:, :b] R[:b, a:b]``:
-    every evaluator's size ends a panel, and in a chunk of at least
-    ``PANEL_MIN_VALUES`` basis values no panel is wider than
-    ``PANEL_WIDTH``.  The panels skip the exact zeros of R below its
-    diagonal and give the bits of the full product ``V R``; 8-column
-    panels take 54% of its flops at 91 basis entries and 59% at 45.  Each
-    evaluator then sums the squares of its own leading columns.  The
+    the chunk's leading columns once, and each ridge factor that
+    evaluators share in the column panels of the module docstring, up to
+    the widest basis size they read, into the column-major ``spare`` of
+    :func:`moments.basis_blocks`; each evaluator then sums the squares of
+    its own leading columns, so its column is the one it gives alone.  The
     products run over the padded rows of the chunk.  The result is
     C-ordered.  Points off an eigen-form evaluator's retained eigenspace
     get ``inf`` in its column.  So do points so far out that their basis
     values or scores overflow: a q that is not finite is reported as
     ``inf``, without floating-point warnings, and every other row is
-    computed exactly as it would be without them.  Each evaluator's
-    columns read only its own basis values, so every column is the one
-    the evaluator gives alone, also in a row whose values overflow only in
-    a larger basis.  No q is 0 (v(x) has a constant entry) or nan, so
-    1 / q is the Christoffel function, 0.0 where q is ``inf``.
+    computed exactly as it would be without them.  No q is 0 (v(x) has a
+    constant entry) or nan, so 1 / q is the Christoffel function, 0.0
+    where q is ``inf``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -306,21 +287,22 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     shared = {}
     for k, ev in enumerate(evaluators):
         shared.setdefault(id(ev) if ev.factor is None else id(ev.factor), []).append(k)
-    products = []  # (matrix, the sizes read from it, whether it is a ridge factor, evaluator indices)
+    products = []  # (matrix, its column panels, evaluator indices)
     for ks in shared.values():
         ev = evaluators[ks[0]]
-        ridge = ev.factor is not None
-        sizes = sorted({evaluators[k].basis.size for k in ks})
-        products.append((ev.factor if ridge else ev.scoring, sizes, ridge, ks))
+        if ev.factor is None:
+            products.append((ev.scoring, [(0, ev.basis.size)], ks))
+        else:
+            sizes = sorted({evaluators[k].basis.size for k in ks})
+            products.append((ev.factor, _panels(sizes), ks))
     q = np.empty((pts.shape[0], len(evaluators)))
     with np.errstate(over="ignore", invalid="ignore"):
         for block, values, spare in basis_blocks(basis, pts):
             rows = block.stop - block.start
             # ||v||^2 per basis size, for the evaluators that need it.
             norms = {}
-            large = values.size >= PANEL_MIN_VALUES
-            for matrix, sizes, ridge, ks in products:
-                for a, b in _panels(sizes, PANEL_WIDTH if ridge and large else sizes[-1]):
+            for matrix, panels, ks in products:
+                for a, b in panels:
                     np.matmul(values[:, :b], matrix[:b, a:b], out=spare[:, a:b])
                 for k in ks:
                     s, rank = evaluators[k].basis.size, evaluators[k].rank
@@ -341,13 +323,12 @@ def inverse_scores(evaluators, points) -> np.ndarray:
     return q
 
 
-def _panels(sizes, width: int) -> list[tuple[int, int]]:
-    """Column panels ``(a, b)`` of a product up to ``sizes[-1]``, right to left.
+def _panels(sizes) -> list[tuple[int, int]]:
+    """Column panels ``(a, b)`` of a ridge product up to ``sizes[-1]``, right to left.
 
-    ``sizes`` ascend.  Panels are ``width`` columns wide at most, and each
-    size ends one, so the columns of an evaluator of that size read only
-    its own basis values; a ``width`` of ``sizes[-1]`` gives one panel per
-    size.  A panel is at least two columns wide: numpy
+    ``sizes`` ascend.  Panels are ``PANEL_WIDTH`` columns wide at most, and
+    each size ends one, so the columns of an evaluator of that size read
+    only its own basis values.  A panel is at least two columns wide: numpy
     computes a one-column product as a matrix-vector product, whose bits
     differ.  So a one-column panel also computes the column before it,
     which the next panel, its own, then writes again.
@@ -355,7 +336,7 @@ def _panels(sizes, width: int) -> list[tuple[int, int]]:
     panels, a = [], 0
     for s in sizes:
         while a < s:
-            b = min(a + width, s)
+            b = min(a + PANEL_WIDTH, s)
             panels.append((max(0, min(a, b - 2)), b))
             a = b
     return panels[::-1]

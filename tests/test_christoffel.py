@@ -23,14 +23,8 @@ from cfkit import (
     uniform_measure,
     variational_eval,
 )
-from cfkit.christoffel import (
-    OFF_RANGE_TOL,
-    PANEL_MIN_VALUES,
-    PANEL_WIDTH,
-    build_evaluators,
-    inverse_scores,
-)
-from cfkit.moments import EVAL_CHUNK, block_rows
+from cfkit.christoffel import OFF_RANGE_TOL, PANEL_WIDTH, build_evaluators, inverse_scores
+from cfkit.moments import EVAL_CHUNK
 from cfkit.multiindex import MonomialBasis
 from conftest import THREE_SHAPES, chunk_crossing_queries, random_measure
 
@@ -361,7 +355,7 @@ class TestRidgePanels:
     """A ridge factor multiplies in column panels, each reading only the basis
     columns up to its last one, and gives the bits of the full product with
     the zeros below the diagonal.  Each case also scores its last 40 rows
-    alone, a block too small to split into ``PANEL_WIDTH`` panels."""
+    alone, one block of 48 padded rows."""
 
     @pytest.fixture(scope="class")
     def train(self):
@@ -389,8 +383,6 @@ class TestRidgePanels:
         assert 120 % PANEL_WIDTH == 0 and 120 > PANEL_WIDTH
         assert 91 % PANEL_WIDTH > 1 and 91 > 2 * PANEL_WIDTH
         assert 105 % PANEL_WIDTH == 1
-        # Full 91-entry blocks are split into those panels; 40 rows are not.
-        assert block_rows(91) * 91 >= PANEL_MIN_VALUES > 48 * 120
 
     def test_shared_factor_matches_the_full_products(self, train):
         models = fit_degrees(train, [1, 2, 8, 12])
