@@ -1,7 +1,9 @@
 """Superlevel sets as support estimates, and overlap detection.
 
 Scores a grid with per-class Christoffel functions and thresholds each
-class at the 5th percentile of its own training scores.  For disjoint
+class at its level: a cell is in the class's superlevel set when its
+inverse score is at most 3 times the mean over the class's own training
+points, a mean that the fitted factor gives without a pass over them.  For disjoint
 classes the thresholded regions stay disjoint; for overlapping classes
 the intersection cells concentrate where the supports truly intersect,
 which is the geometric signal that class regions are not separable.
@@ -9,20 +11,20 @@ which is the geometric signal that class regions are not separable.
 
 import numpy as np
 
-from cfkit import ShapeSpec, fit, gen_shapes, scores_batch
+from cfkit import ShapeSpec, fit, gen_shapes, level_scores, scores_batch
 
 
 def levelset_overlap(specs, title):
     print(f"=== {title} ===")
     train = gen_shapes(specs, 500, seed=21)
     model = fit(train, degree=4)
-    print(f"per-class score floors (5th percentile of training scores): "
-          f"{np.array2string(model.train_score_floor, precision=5)}")
+    levels = level_scores(model)
+    print(f"per-class score levels: {np.array2string(levels, precision=5)}")
     xs = np.linspace(-3.2, 3.2, 65)
     ys = np.linspace(-1.3, 1.3, 27)
     mesh = np.meshgrid(xs, ys, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
-    member = scores_batch(model, grid) >= model.train_score_floor
+    member = scores_batch(model, grid) >= levels
     both = member[:, 0] & member[:, 1]
     print(f"cells: {grid.shape[0]}, in G1: {member[:, 0].sum()}, "
           f"in G2: {member[:, 1].sum()}, in both: {both.sum()}")

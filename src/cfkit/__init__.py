@@ -31,6 +31,7 @@ from .classifier import (
     fit,
     fit_degrees,
     joint_cf,
+    level_scores,
     make_theta,
     sandwich_check,
     scores,

@@ -178,7 +178,6 @@ def cmd_predict(args):
             f"queries have {points.shape[1]} features but the model expects {model.n}"
         )
     predicted, sc = classifier.predict_batch(model, points)
-    reported = sc * _score_scale(model, args.normalize)
     header = [f"x{i + 1}" for i in range(model.n)]
     blocks = [points]
     if labels is not None:
@@ -186,15 +185,9 @@ def cmd_predict(args):
         blocks.append(labels)
     header.append("predicted")
     header += [f"score_{j + 1}" for j in range(model.m)]
-    datasets.write_table(args.out, header, *blocks, predicted, reported)
+    datasets.write_table(args.out, header, *blocks, predicted, sc)
     print(f"wrote {args.out}: {points.shape[0]} predictions")
     return 0
-
-
-def _score_scale(model, normalize):
-    if not normalize:
-        return np.ones(model.m)
-    return np.array([ev.basis.size / ev.mass for ev in model.evaluators])
 
 
 def cmd_eval(args):
@@ -234,7 +227,7 @@ def cmd_levelset(args):
             f"{model.n} dimensions; at most {_MAX_GRID_CELLS} are allowed"
         )
     if args.gamma is None:
-        gamma = np.asarray(model.train_score_floor, dtype=np.float64)
+        gamma = classifier.level_scores(model)
     else:
         gamma = np.full(model.m, args.gamma)
     axes = [np.linspace(lo, hi, args.grid_res) for lo, hi in args.bounds]
@@ -242,12 +235,11 @@ def cmd_levelset(args):
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     sc = classifier.scores_batch(model, grid)
     member = sc >= gamma
-    reported = sc * _score_scale(model, args.normalize)
 
     header = [f"x{i + 1}" for i in range(model.n)]
     header += [f"lambda_{j + 1}" for j in range(model.m)]
     header += [f"member_{j + 1}" for j in range(model.m)]
-    datasets.write_table(args.out, header, grid, reported, member)
+    datasets.write_table(args.out, header, grid, sc, member)
 
     print(f"cells {grid.shape[0]}")
     for j in range(model.m):
@@ -358,8 +350,6 @@ def build_parser():
     p = sub.add_parser("predict", help="append predicted labels and scores")
     p.add_argument("model")
     p.add_argument("data", help="query CSV (label column optional)")
-    p.add_argument("--normalize", action="store_true",
-                   help="rescale scores by basis size over mass")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -381,8 +371,7 @@ def build_parser():
     p.add_argument("--gamma", default="auto",
                    type=_flag("--gamma", _or_auto(float),
                               lambda v: v is None or math.isfinite(v), "finite or auto"),
-                   help="superlevel threshold, float or 'auto'")
-    p.add_argument("--normalize", action="store_true")
+                   help="superlevel score, or 'auto' for each class's level")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_levelset)
 

@@ -5,9 +5,11 @@ length, a canonical JSON header (sorted keys, no whitespace), then the
 raw little-endian float64 array payload.  Each class is stored in its
 evaluator's form: ``eigenvalues_<k>`` and ``eigenvectors_<k>`` for the
 eigen form, or ``factor_<k>``, the upper-triangular ridge factor at the
-model's degree, for the ridge form.  Arrays are restored bit for bit,
-so a loaded model reproduces scores exactly; two saves of the same model
-produce identical bytes (no timestamps are stored).
+model's degree, for the ridge form.  Any other array a header lists,
+such as the score floors that older files carry, is ignored.  Arrays
+are restored bit for bit, so a loaded model reproduces scores exactly;
+two saves of the same model produce identical bytes (no timestamps are
+stored).
 """
 
 from __future__ import annotations
@@ -29,19 +31,10 @@ _MAGIC = b"CFKIT-MODEL 1\n"
 
 
 def save_model(model: ClassifierModel, path, metadata: dict | None = None) -> None:
-    """Serialize a fitted model; ``metadata`` lands in the header as-is.
-
-    The model must carry its training-score floors, as every model from
-    ``fit`` does; one without them raises ValueError before any file is
-    opened, since :func:`load_model` could not read it back.
-    """
-    floor = model.train_score_floor
-    if floor is None:
-        raise ValueError("model has no train_score_floor to save")
+    """Serialize a fitted model; ``metadata`` lands in the header as-is."""
     arrays: list[tuple[str, np.ndarray]] = [
         ("transform_center", model.transform.center),
         ("transform_scale", model.transform.scale),
-        ("train_score_floor", floor),
     ]
     classes = []
     for k, ev in enumerate(model.evaluators, start=1):
@@ -124,15 +117,10 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
     transform = AffineTransform(
         center=arrays["transform_center"], scale=arrays["transform_scale"]
     )
-    floor = arrays["train_score_floor"]
     if transform.center.shape != (n,) or transform.scale.shape != (n,):
         raise ValueError("transform shape does not match n")
-    if floor.shape != (m,):
-        raise ValueError("score floor shape does not match m")
     if not (np.isfinite(transform.center).all() and _positive(np.abs(transform.scale))):
         raise ValueError("transform must be finite with nonzero scales")
-    if not (np.isfinite(floor).all() and (floor >= 0).all()):
-        raise ValueError("score floor must be finite and >= 0")
     # Every shape is checked before the basis is built.  Each class has rank
     # >= 1 (M[0, 0] is its mass), so the basis size is bounded by stored
     # bytes.  That size C(n + degree, n) is above max(n, degree) and at least
@@ -187,7 +175,6 @@ def _model_from(header: dict, payload: bytes, path) -> ClassifierModel:
         policy=policy,
         class_prior_weights=header["class_prior_weights"],
         reject_threshold=None if reject is None else float(reject),
-        train_score_floor=floor,
     )
 
 

@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfkit import EmpiricalMeasure, LabeledDataset, ShapeSpec, ThresholdPolicy, fit, gen_shapes
+from cfkit import (
+    EmpiricalMeasure,
+    LabeledDataset,
+    ShapeSpec,
+    ThresholdPolicy,
+    class_split,
+    fit,
+    gen_shapes,
+)
+from cfkit.christoffel import inverse_scores
 from cfkit.moments import EVAL_CHUNK
 
 THREE_SHAPES = [
@@ -150,6 +159,17 @@ def traced_peak(call, *args, **kwargs):
         return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def own_levels(model, data):
+    """Each class's level ``mass_j / (3 * sum_i w_i q_j(x_i))``, summed over
+    the class's own training points, scaled and weighted as the fit did."""
+    scaled = LabeledDataset(model.transform.forward(data.points), data.labels, m=data.m)
+    measures = class_split(scaled, class_prior_weights=model.class_prior_weights)
+    return np.array([
+        ev.mass / (3.0 * (measure.weights @ inverse_scores([ev], measure.points)[:, 0]))
+        for ev, measure in zip(model.evaluators, measures)
+    ])
 
 
 def chunk_crossing_queries():

@@ -25,6 +25,7 @@ from cfkit import (
     fit,
     gen_shapes,
     joint_cf,
+    level_scores,
     load_model,
     make_theta,
     sandwich_check,
@@ -301,12 +302,12 @@ def test_08_off_support_decay():
 
 
 def test_09_overlap_heuristic():
-    # disjoint disks: no cell passes both per-class thresholds
+    # disjoint disks: no cell passes both per-class levels
     train = gen_shapes(TWO_DISKS, 500, seed=77)
     model = fit(train, degree=4)
     grid = _grid((-3.2, 3.2), (-1.2, 1.2), 40)
     sc = scores_batch(model, grid)
-    disjoint_overlap = int(np.sum(np.all(sc >= model.train_score_floor, axis=1)))
+    disjoint_overlap = int(np.sum(np.all(sc >= level_scores(model), axis=1)))
 
     # overlapping disks: overlap cells exist and stay inside the lens
     # (dilated by one grid cell)
@@ -315,7 +316,7 @@ def test_09_overlap_heuristic():
     res = 33
     grid = _grid((-1.6, 1.6), (-1.1, 1.1), res)
     sc = scores_batch(model, grid)
-    flagged = grid[np.all(sc >= model.train_score_floor, axis=1)]
+    flagged = grid[np.all(sc >= level_scores(model), axis=1)]
     cell_diag = np.hypot(3.2 / (res - 1), 2.2 / (res - 1))
     distances = np.array([_distance_to_lens(p) for p in flagged])
     ok = (

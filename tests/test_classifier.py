@@ -1,8 +1,6 @@
 """Interpolation basis, fitting, argmax classification, and joint formulas."""
 
 import sys
-import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +31,7 @@ from cfkit import (
     gen_shapes,
     joint_cf,
     joint_moment_matrix,
+    level_scores,
     load_model,
     make_theta,
     moments,
@@ -50,6 +49,7 @@ from cfkit.multiindex import basis_dimension
 from conftest import (
     THREE_SHAPES,
     chunk_crossing_queries,
+    own_levels,
     random_joint_dataset,
     separated_points,
     traced_peak,
@@ -172,11 +172,11 @@ class TestFit:
         np.testing.assert_array_equal(scores_batch(model, queries), scores_batch(loaded, queries))
         assert np.all(scores_batch(loaded, data.points) > 0)
 
-    def test_train_score_floor_shape(self, rng):
+    def test_level_scores_shape(self, rng):
         data = random_joint_dataset(rng, 1, 3, [20, 20, 20])
-        model = fit(data, degree=2)
-        assert model.train_score_floor.shape == (3,)
-        assert np.all(model.train_score_floor > 0)
+        levels = level_scores(fit(data, degree=2))
+        assert levels.shape == (3,)
+        assert np.all((levels > 0) & (levels < np.inf))
 
 
 def traced_fit_peak(n_rows, degree):
@@ -209,9 +209,7 @@ class TestFitDegrees:
             np.testing.assert_array_equal(
                 classify_batch(model, queries), classify_batch(alone, queries)
             )
-            np.testing.assert_allclose(
-                model.train_score_floor, alone.train_score_floor, rtol=1e-5
-            )
+            np.testing.assert_allclose(level_scores(model), level_scores(alone), rtol=1e-5)
 
     def test_one_degree_is_the_fit(self, tmp_path):
         data = gen_shapes(THREE_SHAPES, 300, seed=6)
@@ -249,10 +247,9 @@ class TestFitDegrees:
                 rtol=1e-10, atol=0,
             )
 
-    def test_one_pass_over_the_data(self, monkeypatch):
-        """The fit evaluates each training row once, in the largest basis.
-        A model's first floor read adds one pass over each class in its own
-        basis, and a second read adds none."""
+    def test_one_pass_over_the_data(self, monkeypatch, tmp_path):
+        """The fit evaluates each training row once, in the largest basis,
+        and saving a model or reading its levels evaluates no basis values."""
         data = gen_shapes(THREE_SHAPES, EVAL_CHUNK + 10, seed=8)
         evaluated = []
         real = moments.eval_monomials_batch
@@ -265,76 +262,31 @@ class TestFitDegrees:
         models = fit_degrees(data, [2, 6, 4])
         one_pass = [(6, EVAL_CHUNK), (6, 10)] * 3
         assert evaluated == one_pass
-        models[2].train_score_floor
-        own_pass = [(4, EVAL_CHUNK), (4, 10)] * 3
-        assert evaluated == one_pass + own_pass
-        models[2].train_score_floor
-        assert evaluated == one_pass + own_pass
+        for model in models:
+            save_model(model, tmp_path / "model.cfm")
+            level_scores(model)
+        assert evaluated == one_pass
 
-    def test_floors_are_the_eager_formula(self):
-        """Each floor is, bit for bit, the 5th percentile of one scoring pass
-        of every model's evaluator over the class's scaled points, whichever
-        model is read first."""
-        data = gen_shapes(THREE_SHAPES, 700, seed=5)
-        degrees = [8, 2, 12, 5, 2]
-        models = fit_degrees(data, degrees)
-        scaled = models[0].transform.forward(data.points)
-        expected = np.empty((len(degrees), data.m))
-        for j in range(data.m):
-            fitted = [model.evaluators[j] for model in models]
-            own = 1.0 / inverse_scores(fitted, scaled[data.labels == j + 1])
-            expected[:, j] = np.percentile(own, 5.0, axis=0)
-        for k in (2, 0, 4, 3, 1):
-            floor = models[k].train_score_floor
-            assert floor.shape == (data.m,)
-            assert floor.tobytes() == expected[k].tobytes()
-        assert models[1].train_score_floor is not models[4].train_score_floor
-
-    def test_first_floor_read_drops_the_training_points(self):
-        data = gen_shapes(THREE_SHAPES, 200, seed=5)
-        models = fit_degrees(data, [3, 2])
-        points = [weakref.ref(pts) for pts in models[0]._train_score_floor.args[1]]
-        floor = models[1].train_score_floor
-        assert all(ref() is not None for ref in points)
-        assert models[1].train_score_floor is floor
-        assert models[0].train_score_floor.shape == (3,)
-        assert all(ref() is None for ref in points)
-
-    def test_concurrent_first_reads_agree(self):
-        data = gen_shapes(THREE_SHAPES, 300, seed=9)
-        expected = [model.train_score_floor for model in fit_degrees(data, [4, 2, 3])]
-        models = fit_degrees(data, [4, 2, 3])
-        read = [None] * 8
-        threads = [
-            threading.Thread(
-                target=lambda i: read.__setitem__(i, models[i % 3].train_score_floor),
-                args=(i,),
-            )
-            for i in range(len(read))
+    def test_level_is_the_own_inverse_score_sum(self):
+        """Each level is the class's mass over 3 times the weighted sum of
+        its inverse scores at its own training points, read from the stored
+        form with no pass over them, under the ridge and the exact rule.
+        Both sides carry the rounding that the factor amplifies by about its
+        condition: a box and a disk that fill the unit box keep the pivots
+        above 1e-7 (see the test above) and agree to 1e-12, while two disks,
+        whose pivots fall to 5e-9 at t = 6, agree to about 4e-8."""
+        specs = [
+            ShapeSpec(kind="box", label=1, low=(-1.0, -1.0), high=(1.0, 1.0)),
+            ShapeSpec(kind="disk", label=2, center=(0.0, 0.0), radius=1.0),
         ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for i, floor in enumerate(read):
-            assert floor.tobytes() == expected[i % 3].tobytes()
-
-    def test_explicit_floor_is_kept(self):
-        fitted = fit(hand_dataset(), degree=1)
-        parts = dict(
-            m=2, degree=1, evaluators=fitted.evaluators,
-            transform=fitted.transform, policy=fitted.policy,
-        )
-        floor = np.array([0.5, 0.25])
-        assert ClassifierModel(**parts, train_score_floor=floor).train_score_floor is floor
-        assert ClassifierModel(**parts, train_score_floor=None).train_score_floor is None
-        assert ClassifierModel(**parts).train_score_floor is None
+        data = gen_shapes(specs, 500, seed=3)
+        for policy in (MODEL_POLICY, ThresholdPolicy("rel", 1e-10)):
+            for prior in (False, True):
+                models = fit_degrees(data, [8, 2, 6, 4], policy, class_prior_weights=prior)
+                for model in models:
+                    np.testing.assert_allclose(
+                        level_scores(model), own_levels(model, data), rtol=1e-8, atol=0
+                    )
 
     def test_fit_memory_does_not_grow_with_rows(self):
         """The basis is evaluated one row block at a time, so a class four
@@ -491,13 +443,16 @@ class TestSharedBasisEvaluation:
         assert (shared == 0).any() and (shared > 0).any()
         np.testing.assert_allclose(shared, separate, rtol=1e-12, atol=0)
 
-    def test_train_score_floor_is_own_percentile(self, rank_deficient):
+    def test_level_is_own_mean_inverse_score(self, rank_deficient):
+        """Under the exact rule d_j is the rank: 11 of 21 on the circle.  The
+        box's rank falls to 20 of 21, and nearly all its own points leave
+        the retained eigenspace and score 0 (the exact rule's collapse), so
+        its own sum is inf while its level still reads the rank."""
         train, model = rank_deficient
-        for j, ev in enumerate(model.evaluators, start=1):
-            own = model.transform.forward(train.class_points(j))
-            expected = np.percentile(eval_cf_batch(ev, own), 5.0)
-            floor = model.train_score_floor[j - 1]
-            np.testing.assert_allclose(floor, expected, rtol=1e-12)
+        levels, own = level_scores(model), own_levels(model, train)
+        np.testing.assert_allclose(levels[:2], own[:2], rtol=1e-8)
+        assert levels[0] == model.evaluators[0].mass / (3.0 * 11)
+        assert levels[2] == model.evaluators[2].mass / (3.0 * 20) and own[2] == 0.0
 
 
 class TestJointFormulas:

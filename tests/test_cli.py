@@ -16,6 +16,7 @@ from cfkit import (
     evaluate_model,
     fit,
     gen_shapes,
+    level_scores,
     load_metadata,
     load_model,
     metrics,
@@ -416,9 +417,6 @@ class TestPredict:
             ("transform_scale", np.nan),
             ("transform_scale", np.inf),
             ("transform_scale", 0.0),
-            ("train_score_floor", np.nan),
-            ("train_score_floor", np.inf),
-            ("train_score_floor", -1.0),
         ],
     )
     def test_out_of_range_model_array(self, tmp_path, hand_model, capsys, name, value):
@@ -455,7 +453,6 @@ class TestPredict:
         assert f"{hand_model}: malformed model header" in capsys.readouterr().err
 
     def test_edge_values_load(self, tmp_path, hand_model):
-        set_model_float(hand_model, "train_score_floor", 0.0)
         rewrite_header(hand_model, lambda h: {**h, "reject_threshold": -1.0})
         queries = tmp_path / "queries.csv"
         queries.write_text("x1\n0.0\n")
@@ -529,6 +526,18 @@ class TestPredict:
         b = (tmp_path / "b.csv").read_text().splitlines()
         assert a[3].split(",")[3:] == ["0.0", "0.0"]
         assert a[:3] + a[4:] == b
+
+    def test_row_off_every_support_takes_the_tie_rule(self, tmp_path, spec_file):
+        # A row that scores 0 in every class gets class 1 by the argmax tie
+        # rule, and REJECT_LABEL once a reject threshold is set.
+        data = tmp_path / "data.csv"
+        run("synth", spec_file, "--n", 200, "--seed", 3, "--out", data)
+        queries, model, out = tmp_path / "far.csv", tmp_path / "model.cfm", tmp_path / "p.csv"
+        queries.write_text("x1,x2\n1e300,0\n")
+        for reject, label in (((), 1), (("--reject-gamma", 1e-3), classifier.REJECT_LABEL)):
+            assert run("train", data, "--degree", 4, *reject, "--out", model) == 0
+            assert run("predict", model, queries, "--out", out) == 0
+            assert out.read_text().splitlines()[1].split(",")[2:] == [str(label), "0.0", "0.0"]
 
     def test_finite_query_the_transform_overflows_scores_zero(self, tmp_path):
         # A box 1e-3 wide: the scale is about 2e3, so 1e306 maps past the
@@ -674,16 +683,32 @@ class TestLevelset:
         )
         assert overlap > 0
 
-    def test_normalize_rescales_scores(self, tmp_path, disk_model):
-        raw = tmp_path / "raw.csv"
-        scaled = tmp_path / "scaled.csv"
-        queries = tmp_path / "queries.csv"
-        queries.write_text("x1,x2\n-2.0,0.0\n")
-        run("predict", disk_model, queries, "--out", raw)
-        run("predict", disk_model, queries, "--normalize", "--out", scaled)
-        raw_score = float(raw.read_text().splitlines()[1].split(",")[3])
-        scaled_score = float(scaled.read_text().splitlines()[1].split(",")[3])
-        assert scaled_score == pytest.approx(15.0 * raw_score, rel=1e-12)
+    def test_member_columns_are_the_levels(self, tmp_path, disk_model, capsys):
+        out = tmp_path / "grid.csv"
+        assert run("levelset", disk_model, "--bounds=-3.2:3.2,-1.2:1.2",
+                   "--grid-res", 40, "--out", out) == 0
+        levels = level_scores(load_model(disk_model))
+        printed = capsys.readouterr().out
+        for j, level in enumerate(levels, start=1):
+            assert f"gamma_{j} {float(level)!r}\n" in printed
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        scores, member = table[:, 2:4], table[:, 4:6]
+        np.testing.assert_array_equal(member, scores >= levels)
+        assert member.any(axis=0).all()
+
+    def test_huge_ridge_has_no_level(self, tmp_path, spec_file, capsys):
+        # d = s - eps ||R||^2 cancels to rounding once eps is about 1e15.
+        data = tmp_path / "data.csv"
+        run("synth", spec_file, "--n", 100, "--seed", 3, "--out", data)
+        model = tmp_path / "model.cfm"
+        assert run("train", data, "--degree", 4, "--threshold-policy", "tikhonov:1e17",
+                   "--out", model) == 0
+        argv = ("levelset", model, "--bounds=-3:3,-1:1", "--grid-res", 5, "--out",
+                tmp_path / "grid.csv")
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert "no level" in capsys.readouterr().err
+        assert run(*argv, "--gamma", 0.5) == 0
 
     def test_bad_bounds_is_usage_error(self, tmp_path, disk_model):
         assert run(
@@ -945,17 +970,17 @@ def test_report_lines_parse_as_numbers(tmp_path, spec_file, capsys):
 PINNED_DIGESTS = {
     "train.csv": "4c364c89478918a02876d99a381e055dc743e83d06f54ece84cb9ccacc6e9a63",
     "test.csv": "a465941655e1a9b2e8c388acc4c7625f2539f099b599bcb2b0a665d318c5a31e",
-    "model.cfm": "5662385df4e88ecc3f2b3faaf1e5bd5061337c3de744379c12ea0617af39d6d0",
+    "model.cfm": "b16b7acd672881da38024fecfa99ecaac65e19e329fe30d6a391ddefbf6a373f",
     "predict.csv": "2e8c6522bc436870c3bd7d4a087c25b86f5eec252097249a6012fa1a3d7eb03f",
     "report.txt": "592a28f065031777256c150b67cf69ab711d7255e7064d088dcb09c5b2f63a6b",
-    "grid.csv": "d2c4f60caad142f90e4a786d54fb178b0aab16dcf3ad09f25e55c5901092cf67",
+    "grid.csv": "f1e812b47a2fa5d7f866391bde573f9b424defbe2a1fbf6e5feba0e2eed4a66f",
 }
 # The default ridge changes the model, the scores and the grid, not the report.
 PINNED_RIDGE_DIGESTS = {
     **PINNED_DIGESTS,
-    "model.cfm": "ce7db6ef00e823bad6ef0e811838e29f36fa036a427652d3947a36bb61fa59aa",
+    "model.cfm": "112eb59c6efd2bbe71a77f6c8acf275128bc66b7cafc633dd3aca1ef0a907b6f",
     "predict.csv": "21f1e58f9fb60ddbb8ae9d5f18034528ec56f51623d088e56ee0b2f3b345c832",
-    "grid.csv": "7a8f6eb92305495ace00a30a7bc08a714f1a6d936868ff478f3128a3eff1537f",
+    "grid.csv": "e06f51238ea97549d66527566bcd3350d5989cfb29055422653d091fb969a12b",
 }
 
 

@@ -16,6 +16,7 @@ from cfkit import (
     enumerate_basis,
     fit,
     fit_degrees,
+    level_scores,
     load_metadata,
     load_model,
     persist,
@@ -26,6 +27,7 @@ from conftest import (
     MALFORMED_HEADERS,
     MODEL_CUTS,
     chunk_crossing_queries,
+    own_levels,
     random_joint_dataset,
     reshape_array,
     rewrite_header,
@@ -90,8 +92,7 @@ class TestRoundTrip:
             M = empirical_moment_matrix(measure, basis)
             lam, E = np.linalg.eigh(M.entries + ridge.policy.value * np.eye(M.size))
             evaluators.append(ChristoffelEvaluator(basis, lam[::-1], E[:, ::-1], 0.0, M.mass))
-        eigen = ClassifierModel(3, 3, evaluators, ridge.transform, ridge.policy,
-                                train_score_floor=ridge.train_score_floor)
+        eigen = ClassifierModel(3, 3, evaluators, ridge.transform, ridge.policy)
         path = tmp_path / "model.cfm"
         save_model(eigen, path)
         names = {a["name"] for a in load_metadata(path)["arrays"]}
@@ -103,6 +104,25 @@ class TestRoundTrip:
         before = scores_batch(eigen, queries)
         np.testing.assert_array_equal(before, scores_batch(loaded, queries))
         np.testing.assert_allclose(before, scores_batch(ridge, queries), rtol=1e-6)
+        # d = rank - eps * sum(1 / lambda) is the ridge's d under the eigenpairs.
+        np.testing.assert_allclose(level_scores(loaded), own_levels(loaded, data), rtol=1e-8)
+        np.testing.assert_allclose(level_scores(loaded), level_scores(ridge), rtol=1e-8)
+
+    def test_file_with_score_floors_loads(self, rng, tmp_path):
+        # Files written before the level was read from the factor carry each
+        # class's 5% training score floor as one more array, which is ignored
+        # whatever its values.
+        model = fitted_model(rng)
+        path = tmp_path / "model.cfm"
+        save_model(model, path)
+        payload = sum(8 * np.prod(a["shape"]) for a in load_metadata(path)["arrays"])
+        entry = {"name": "train_score_floor", "shape": [model.m], "offset": int(payload)}
+        rewrite_header(path, lambda h: {**h, "arrays": [*h["arrays"], entry]})
+        path.write_bytes(path.read_bytes() + np.array([0.5, np.nan, -1.0]).tobytes())
+        loaded = load_model(path)
+        queries = chunk_crossing_queries()
+        np.testing.assert_array_equal(scores_batch(loaded, queries), scores_batch(model, queries))
+        np.testing.assert_array_equal(level_scores(loaded), level_scores(model))
 
     def test_fields_preserved(self, rng, tmp_path):
         data = random_joint_dataset(rng, 1, 2, [12, 12])
@@ -121,9 +141,6 @@ class TestRoundTrip:
         assert loaded.policy == model.policy
         assert loaded.class_prior_weights is True
         assert loaded.reject_threshold == 0.25
-        np.testing.assert_array_equal(
-            loaded.train_score_floor, model.train_score_floor
-        )
         np.testing.assert_array_equal(
             loaded.transform.center, model.transform.center
         )
@@ -184,19 +201,6 @@ class TestDeterminism:
 
 
 class TestErrors:
-    def test_model_without_floor_is_not_saved(self, rng, tmp_path):
-        fitted = fitted_model(rng)
-        model = ClassifierModel(fitted.m, fitted.degree, fitted.evaluators,
-                                fitted.transform, fitted.policy)
-        assert model.train_score_floor is None
-        path = tmp_path / "model.cfm"
-        with pytest.raises(ValueError, match="train_score_floor"):
-            save_model(model, path)
-        assert not path.exists()
-        # The same evaluators with the floors that fit computed save and load.
-        save_model(fitted, path)
-        np.testing.assert_array_equal(load_model(path).train_score_floor, fitted.train_score_floor)
-
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.cfm"
         path.write_bytes(b"not a model")
