@@ -1,12 +1,9 @@
 """Interpolation basis, fitting, argmax classification, and joint formulas."""
 
-import sys
-
 import numpy as np
 import pytest
 
 from cfkit import (
-    ClassifierModel,
     DataError,
     LabeledDataset,
     REJECT_LABEL,
